@@ -25,6 +25,7 @@ from .bounds import (
     build_report,
     check_domination,
     exact_reference,
+    extreme_spectrum,
 )
 from .certificates import CertificateReport, build_certificate_report
 from .demos import DEMO_NAMES, PARAMETRIC, build_demo, default_filename
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dim-cap",
         type=int,
         default=DEFAULT_DIM_CAP,
-        help="largest product dimension assembled exactly (default 4096)",
+        help="largest product dimension whose exact norm is computed (default 4096)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -505,7 +506,7 @@ def cmd_certify(args, parser) -> int:
         inst, embedded = load_instance(args.instance)
         graph = _resolve_graph(args, parser, embedded, inst.m)
         if args.beta is None:
-            beta = exact_reference(inst, dim_cap=args.dim_cap).lambda_max
+            beta = extreme_spectrum(inst, dim_cap=args.dim_cap).lambda_max
             beta_source = "computed"
         else:
             beta = args.beta

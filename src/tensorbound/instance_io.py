@@ -10,6 +10,7 @@ every value bit-exactly.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,37 @@ def _entry_from_json(cell, where: str) -> complex:
     return complex(re, im)
 
 
+def _matrix_from_well_formed_json(rows, dim: int) -> np.ndarray | None:
+    """``rows`` as a complex matrix in one numpy conversion, or None.
+
+    Takes only a list of ``dim`` lists of ``dim`` [re, im] pairs whose parts
+    are finite and of type int or float exactly (so never bool). Anything
+    else is left to the per-entry scan, which names the first bad entry and
+    also accepts number subclasses.
+    """
+    if type(rows) is not list or len(rows) != dim or set(map(type, rows)) != {list}:
+        return None
+    if set(map(len, rows)) != {dim}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if not set(map(type, cells)) <= {list, tuple}:
+        return None
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        return None
+    try:
+        parts = np.array(cells, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if parts.shape != (dim * dim, 2) or not np.isfinite(parts).all():
+        return None
+    # Each row of the C-contiguous (dim*dim, 2) array is one (re, im) pair.
+    return parts.view(complex).reshape(dim, dim)
+
+
 def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
+    fast = _matrix_from_well_formed_json(rows, dim)
+    if fast is not None:
+        return fast
     if not isinstance(rows, list) or len(rows) != dim:
         raise InstanceValidationError(
             f"{where}: expected {dim} rows, got "

@@ -8,7 +8,9 @@ freely between workers.
 Exact-norm operations (eigendecomposition, spectral norm of an assembled
 tensor product) are desk-scale by design and guarded by a dimension cap;
 the bound computations elsewhere in the package never assemble the full
-tensor product and are dimension-free.
+tensor product and are dimension-free. ``lanczos_extremes`` finds the two
+extreme eigenvalues of a Hermitian operator known only through its action
+on vectors.
 """
 
 from __future__ import annotations
@@ -25,8 +27,16 @@ DEFAULT_DIM_CAP = 4096
 # Hermiticity is accepted when ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F).
 HERM_TOL_FACTOR = 1e-10
 
-# Contract on the eigensolver: ||a - V diag(w) V*||_F <= EIG_TOL * ||a||_F.
-EIG_TOL = 1e-9
+# Lanczos accepts an extreme Ritz pair (theta, q) when ||B q - theta q|| <=
+# LANCZOS_TOL * scale, with scale an upper bound on ||B||. The Ritz value is
+# then within that distance of an eigenvalue of B.
+LANCZOS_TOL = 1e-10
+
+# Most Lanczos steps taken before giving up (the basis costs steps * n entries).
+LANCZOS_MAX_STEPS = 300
+
+# Convergence of the extreme Ritz values is tested every this many steps.
+_LANCZOS_CHECK_EVERY = 10
 
 
 class DimensionCapError(ValueError):
@@ -68,13 +78,18 @@ def kron(a: np.ndarray, b: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.
     """
     a = as_operator(a)
     b = as_operator(b)
-    total = a.shape[0] * b.shape[0]
+    check_dim_cap(a.shape[0], b.shape[0], dim_cap)
+    return np.kron(a, b)
+
+
+def check_dim_cap(dim_a: int, dim_b: int, dim_cap: int) -> None:
+    """Raise DimensionCapError when dim_a * dim_b exceeds ``dim_cap``."""
+    total = dim_a * dim_b
     if total > dim_cap:
         raise DimensionCapError(
-            f"tensor product dimension {a.shape[0]}*{b.shape[0]} = {total} "
+            f"tensor product dimension {dim_a}*{dim_b} = {total} "
             f"exceeds the cap {dim_cap}; raise dim_cap to force assembly"
         )
-    return np.kron(a, b)
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
@@ -115,11 +130,11 @@ class SpectralSummary:
 
 
 def hermitian_eig(a: np.ndarray) -> SpectralSummary:
-    """Full spectral decomposition of a Hermitian matrix.
+    """All eigenvalues of a Hermitian matrix, ascending.
 
-    Rejects inputs whose hermiticity defect exceeds the scaled tolerance.
-    The underlying solver (LAPACK via numpy) satisfies the reconstruction
-    contract ||a - V diag(w) V*||_F <= EIG_TOL * ||a||_F.
+    Rejects inputs whose hermiticity defect exceeds the scaled tolerance,
+    then calls LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``);
+    no eigenvectors are computed.
     """
     a = as_operator(a)
     defect = hermiticity_defect(a)
@@ -148,3 +163,98 @@ def spectral_norm(a: np.ndarray) -> float:
     a = as_operator(a)
     w = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(float(w[-1]), 0.0)))
+
+
+@dataclass(frozen=True)
+class LanczosResult:
+    """Extreme Ritz values of a Hermitian operator after a Lanczos run.
+
+    ``residual`` is the larger of the explicit residuals ||B q - theta q||
+    of the two extreme Ritz pairs, recomputed after the last step.
+    ``converged`` is true when both residuals are within the tolerance, so
+    each Ritz value lies within ``LANCZOS_TOL * scale`` of an eigenvalue.
+    """
+
+    lambda_min: float
+    lambda_max: float
+    steps: int
+    residual: float
+    converged: bool
+
+
+def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
+    """Smallest and largest eigenvalue of a Hermitian operator B on C^n that
+    is given only as ``matvec(v) = B v``.
+
+    Lanczos with full reorthogonalization (two classical Gram-Schmidt
+    passes against the whole basis), started from a fixed-seed complex
+    Gaussian vector so that repeated calls give identical results. A random
+    start has a component along every eigenvector with probability one;
+    Kuczynski & Wozniakowski (1992) bound how slowly the extreme Ritz
+    values can then approach the extreme eigenvalues.
+
+    ``scale`` must bound ||B|| from above; tolerances are
+    ``LANCZOS_TOL * scale``. Every ``_LANCZOS_CHECK_EVERY`` steps the
+    tridiagonal matrix is diagonalized, and the run stops once both extreme
+    Ritz residual estimates are within tolerance. It also stops when the
+    next basis vector has norm within tolerance: the Krylov space is then
+    invariant and its Ritz values are eigenvalues of B. At most
+    min(n, LANCZOS_MAX_STEPS) steps are taken.
+    """
+    thresh = LANCZOS_TOL * scale
+    max_steps = min(n, LANCZOS_MAX_STEPS)
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((0, n), dtype=complex)
+    alphas: list[float] = []
+    betas: list[float] = []
+    estimates_met = False
+    while True:
+        k = len(alphas)
+        if k == len(basis):  # grow the basis by doubling, up to the step cap
+            grow = min(max(len(basis), _LANCZOS_CHECK_EVERY), max_steps - k)
+            basis = np.concatenate([basis, np.empty((grow, n), dtype=complex)])
+        basis[k] = q
+        w = matvec(q)
+        alphas.append(float(np.vdot(q, w).real))
+        span = basis[: k + 1]
+        for _ in range(2):
+            w -= span.T @ (span @ w.conj()).conj()
+        beta = float(np.linalg.norm(w))
+        steps = k + 1
+        if beta <= thresh:
+            estimates_met = True
+            break
+        if steps % _LANCZOS_CHECK_EVERY == 0 or steps == max_steps:
+            _, s = _tridiagonal_eigh(alphas, betas)
+            if beta * max(abs(s[-1, 0]), abs(s[-1, -1])) <= thresh:
+                estimates_met = True
+                break
+            if steps == max_steps:
+                break
+        betas.append(beta)
+        q = w / beta
+
+    theta, s = _tridiagonal_eigh(alphas, betas)
+    residual = 0.0
+    for j in (0, -1):
+        ritz = basis[:steps].T @ s[:, j]
+        residual = max(residual, float(np.linalg.norm(matvec(ritz) - theta[j] * ritz)))
+    return LanczosResult(
+        lambda_min=float(theta[0]),
+        lambda_max=float(theta[-1]),
+        steps=steps,
+        residual=residual,
+        converged=estimates_met and residual <= thresh,
+    )
+
+
+def _tridiagonal_eigh(alphas: list[float], betas: list[float]):
+    """Eigenpairs of the real symmetric tridiagonal Lanczos matrix."""
+    t = np.diag(alphas)
+    if betas:
+        off = np.arange(len(betas))
+        t[off + 1, off] = betas
+        t[off, off + 1] = betas
+    return np.linalg.eigh(t)

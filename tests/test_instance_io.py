@@ -14,7 +14,12 @@ from tensorbound import (
     save_instance,
 )
 from tensorbound.graphs import InteractionGraph
-from tensorbound.instance_io import SCHEMA_VERSION, load_graph
+from tensorbound.instance_io import (
+    SCHEMA_VERSION,
+    load_graph,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 
 def chsh_dict():
@@ -127,6 +132,51 @@ class TestValidationErrors:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_instance(tmp_path / "absent.json")
+
+
+class TestMatrixParsing:
+    def rows(self, dim=5):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rows = json.loads(json.dumps(matrix_to_json(a)))
+        rows[0][0] = [-0.0, 0.0]
+        rows[1][2] = [3, -7]  # JSON integers are numbers too
+        rows[2][3] = (0.25, -0.5)
+        return rows
+
+    def test_matches_entry_by_entry_conversion(self):
+        rows = self.rows()
+        expected = np.array([[complex(*cell) for cell in row] for row in rows])
+        parsed = matrix_from_json(rows, 5, "x[0]")
+        assert parsed.dtype == complex and parsed.shape == (5, 5)
+        assert parsed.tobytes() == expected.tobytes()  # bit-exact, -0.0 included
+        assert math.copysign(1.0, parsed[0, 0].real) == -1.0
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ([True, 0.0], "two-element"),
+            (["1", 0.0], "two-element"),
+            ([1.0, 2.0, 3.0], "two-element"),
+            ([float("nan"), 0.0], "finite"),
+        ],
+    )
+    def test_bad_entry_located_in_large_matrix(self, cell, message):
+        rows = self.rows(dim=40)
+        rows[17][23] = cell
+        with pytest.raises(InstanceValidationError, match=rf"x\[2\]\[17\]\[23\]: .*{message}"):
+            matrix_from_json(rows, 40, "x[2]")
+
+    def test_short_row_located(self):
+        rows = self.rows()
+        rows[3] = rows[3][:4]
+        with pytest.raises(InstanceValidationError, match=r"x\[0\]: row 3 must have 5 entries"):
+            matrix_from_json(rows, 5, "x[0]")
+
+    def test_number_subclasses_still_accepted(self):
+        rows = self.rows()
+        rows[4][4] = [np.float64(0.5), 1.0]
+        assert matrix_from_json(rows, 5, "x[0]")[4, 4] == 0.5 + 1.0j
 
 
 class TestStandaloneGraph:
