@@ -17,12 +17,12 @@ and error messages are 1-based to match the graph module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .families import validate
-from .graphs import InteractionGraph, IsolatedVertexError, graph_constant, non_edges
+from .graphs import InteractionGraph, graph_constant
 from .linalg import (
     DEFAULT_DIM_CAP,
     LANCZOS_TOL,
@@ -37,11 +37,15 @@ from .linalg import (
     spectral_norm,
 )
 
-# Absolute slack on the edge-domination comparison; phi values are O(1).
+# Relative slack on the edge-domination comparison of a non-edge, in units
+# of the largest pair weight |c_a c_b| that enters it (1 when unweighted).
 DOM_TOL = 1e-12
 
 # Tolerance on the anticommutation precondition of the two-term identity.
 ANTICOMM_TOL = 1e-9
+
+# Complex entries per temporary stack in phi_table's batched products (1 MB).
+PHI_BATCH_ENTRIES = 2 ** 16
 
 # extreme_spectrum assembles and diagonalizes B up to this product
 # dimension and runs Lanczos above it. At m=10 on a 2-core x86 host, dense
@@ -69,18 +73,19 @@ class DominationError(ValueError):
 class TensorSumInstance:
     """A weighted tensor-sum problem: x_i on H, y_i on K, real weights c_i.
 
-    Every operator must be a self-adjoint contraction (checked on
-    construction); weights default to all ones and are otherwise
-    unconstrained finite reals.
+    Every operator must be a self-adjoint contraction (checked once, on
+    construction). ``x`` and ``y`` are stored as read-only complex stacks
+    of shape (m, dim_h, dim_h) and (m, dim_k, dim_k). Weights default to
+    all ones and are otherwise unconstrained finite reals.
     """
 
-    x: tuple[np.ndarray, ...]
-    y: tuple[np.ndarray, ...]
+    x: np.ndarray
+    y: np.ndarray
     weights: np.ndarray
 
     def __init__(self, x, y, weights=None):
-        x = tuple(as_operator(a) for a in x)
-        y = tuple(as_operator(b) for b in y)
+        x = [as_operator(a) for a in x]
+        y = [as_operator(b) for b in y]
         if len(x) != len(y) or not x:
             raise InstanceValidationError(
                 f"need equally many x and y operators, got {len(x)} and {len(y)}"
@@ -116,26 +121,22 @@ class TensorSumInstance:
                         f"{side} operator {idx + 1} of {len(ops)}: not a contraction, "
                         f"norm {cert.norm:.12g} > 1"
                     )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+            stack = np.stack(ops)
+            stack.flags.writeable = False
+            object.__setattr__(self, side, stack)
         object.__setattr__(self, "weights", w)
 
     @property
     def m(self) -> int:
-        return len(self.x)
+        return self.x.shape[0]
 
     @property
     def dim_h(self) -> int:
-        return self.x[0].shape[0]
+        return self.x.shape[1]
 
     @property
     def dim_k(self) -> int:
-        return self.y[0].shape[0]
-
-
-def pairs(m: int):
-    """All 0-based index pairs i < j in lexicographic order."""
-    return ((i, j) for i in range(m) for j in range(i + 1, m))
+        return self.y.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +144,7 @@ class PhiTable:
     """Symmetric table of pairwise interaction magnitudes with the
     commutator/anticommutator norm breakdown that produced each entry.
 
-    Arrays are (m, m), 0-based; diagonals are filler and never read.
+    Arrays are (m, m), 0-based, with zero diagonals.
     """
 
     m: int
@@ -158,54 +159,81 @@ class PhiTable:
         return float(self.values[i - 1, j - 1])
 
 
+def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """||[a_i, a_j]|| and ||{a_i, a_j}|| for every pair (first[k], second[k])
+    of matrices in the stack ``ops``, as two arrays.
+
+    Pairs go through at most PHI_BATCH_ENTRIES // d^2 at a time, so each
+    temporary stack stays near 1 MB: one batch holds all 45 pairs of 10
+    operators up to d = 38, or all 780 pairs of 40 operators up to d = 9.
+    """
+    step = max(1, PHI_BATCH_ENTRIES // ops.shape[1] ** 2)
+    comm, anti = [], []
+    for start in range(0, max(len(first), 1), step):  # one empty batch if m = 1
+        a = ops[first[start:start + step]]
+        b = ops[second[start:start + step]]
+        p, q = a @ b, b @ a
+        comm.append(spectral_norm(p - q))
+        anti.append(spectral_norm(p + q))
+    return np.concatenate(comm), np.concatenate(anti)
+
+
 def phi_table(inst: TensorSumInstance) -> PhiTable:
-    """Interaction magnitudes phi_ij for all pairs of an instance."""
+    """Interaction magnitudes phi_ij for all pairs of an instance, computed
+    per side by batched products and batched norms (see _pair_norms)."""
     m = inst.m
-    values = np.zeros((m, m))
-    comm_x = np.zeros((m, m))
-    comm_y = np.zeros((m, m))
-    anti_x = np.zeros((m, m))
-    anti_y = np.zeros((m, m))
-    for i, j in pairs(m):
-        cx = spectral_norm(commutator(inst.x[i], inst.x[j]))
-        cy = spectral_norm(commutator(inst.y[i], inst.y[j]))
-        ax = spectral_norm(anticommutator(inst.x[i], inst.x[j]))
-        ay = spectral_norm(anticommutator(inst.y[i], inst.y[j]))
-        phi = 0.5 * (cx * cy + ax * ay)
-        for table, val in (
-            (values, phi),
-            (comm_x, cx),
-            (comm_y, cy),
-            (anti_x, ax),
-            (anti_y, ay),
-        ):
-            table[i, j] = val
-            table[j, i] = val
-    return PhiTable(m=m, values=values, comm_x=comm_x, comm_y=comm_y,
-                    anti_x=anti_x, anti_y=anti_y)
+    upper = np.triu_indices(m, k=1)
+    comm_x, anti_x = _pair_norms(inst.x, *upper)
+    comm_y, anti_y = _pair_norms(inst.y, *upper)
+    phi = 0.5 * (comm_x * comm_y + anti_x * anti_y)
+
+    def symmetric(values: np.ndarray) -> np.ndarray:
+        table = np.zeros((m, m))
+        table[upper] = values
+        return table + table.T
+
+    return PhiTable(
+        m=m,
+        values=symmetric(phi),
+        comm_x=symmetric(comm_x),
+        comm_y=symmetric(comm_y),
+        anti_x=symmetric(anti_x),
+        anti_y=symmetric(anti_y),
+    )
+
+
+def _pair_weights(weights: np.ndarray) -> np.ndarray:
+    """(m, m) table of |c_i c_j|."""
+    return np.abs(np.outer(weights, weights))
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """Left-to-right sum of a 1-d array. Pairwise summation would change
+    the last bits of reported bounds whenever there are 8 or more terms."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def weighted_pair_sum(phi: PhiTable, weights: np.ndarray) -> float:
     """sum over all pairs i < j of |c_i c_j| phi_ij."""
-    total = 0.0
-    for i, j in pairs(phi.m):
-        total += abs(float(weights[i]) * float(weights[j])) * float(phi.values[i, j])
-    return total
+    terms = _pair_weights(weights) * phi.values
+    return _sum_in_order(terms[np.triu_indices(phi.m, k=1)])
 
 
 def weighted_edge_sum(phi: PhiTable, weights: np.ndarray, g: InteractionGraph) -> float:
-    """sum over graph edges of |c_i c_j| phi_ij (edges are 1-based)."""
-    total = 0.0
-    for i, j in g.edges:
-        total += abs(float(weights[i - 1]) * float(weights[j - 1])) * float(phi.values[i - 1, j - 1])
-    return total
+    """sum over graph edges of |c_i c_j| phi_ij, edges in sorted order."""
+    terms = _pair_weights(weights) * phi.values
+    return _sum_in_order(terms[np.triu(g.adjacency_matrix()) > 0])
+
+
+def _sum_c_squared(inst: TensorSumInstance) -> float:
+    return float(np.sum(inst.weights ** 2))
 
 
 def complete_bound(inst: TensorSumInstance, phi: PhiTable | None = None) -> float:
     """All-pairs bound on ||B_c||^2: sum c_i^2 + sum_{i<j} |c_i c_j| phi_ij."""
     if phi is None:
         phi = phi_table(inst)
-    return float(np.sum(inst.weights ** 2)) + weighted_pair_sum(phi, inst.weights)
+    return _sum_c_squared(inst) + weighted_pair_sum(phi, inst.weights)
 
 
 @dataclass(frozen=True)
@@ -222,17 +250,18 @@ class DominationCheck:
 class DominationReport:
     """Outcome of the edge-domination check for every non-edge.
 
-    A non-edge violates when lhs > rhs + DOM_TOL. ``checks`` records the
-    numbers for every non-edge, violating or not.
+    ``checks`` records the numbers for every non-edge, violating or not;
+    ``violations`` those where lhs exceeds rhs by more than the tolerance
+    (see check_domination). ``satisfied`` is set from ``violations``.
     """
 
     weighted: bool
+    satisfied: bool = field(init=False)
     checks: tuple[DominationCheck, ...]
     violations: tuple[DominationCheck, ...]
 
-    @property
-    def satisfied(self) -> bool:
-        return not self.violations
+    def __post_init__(self):
+        object.__setattr__(self, "satisfied", not self.violations)
 
 
 def check_domination(
@@ -248,39 +277,46 @@ def check_domination(
 
     with w_ij = |c_i c_j| in weighted mode and 1 otherwise. A vertex with
     no neighbors contributes an empty average, i.e. zero, to the right side.
+    A non-edge violates when lhs > rhs + DOM_TOL * s, with s the largest
+    w_ab in its comparison (w_ij and the w of every incident edge), so
+    scaling all weights by a power of two never changes the outcome.
     """
     if g.m != inst.m:
         raise ValueError(f"graph has {g.m} vertices but instance has m={inst.m}")
     if phi is None:
         phi = phi_table(inst)
-    w = inst.weights
-
-    def pair_weight(i: int, j: int) -> float:
-        return abs(float(w[i - 1]) * float(w[j - 1])) if weighted else 1.0
-
-    def neighborhood_average(i: int) -> float:
-        nbrs = g.neighbors(i)
-        if not nbrs:
-            return 0.0
-        return sum(pair_weight(i, k) * phi.phi(i, k) for k in sorted(nbrs)) / len(nbrs)
-
-    checks = []
-    for i, j in non_edges(g):
-        lhs = pair_weight(i, j) * phi.phi(i, j)
-        rhs = neighborhood_average(i) + neighborhood_average(j)
-        checks.append(DominationCheck(pair=(i, j), lhs=lhs, rhs=rhs, slack=rhs - lhs))
-    violations = tuple(c for c in checks if c.lhs > c.rhs + DOM_TOL)
-    return DominationReport(weighted=weighted, checks=tuple(checks), violations=violations)
+    m = inst.m
+    w = _pair_weights(inst.weights) if weighted else np.ones((m, m))
+    terms = w * phi.values
+    adj = g.adjacency_matrix()
+    degree = adj.sum(axis=1)
+    # each row summed left to right over the neighbors in ascending order
+    neighbor_sum = np.cumsum(terms * adj, axis=1)[:, -1]
+    average = np.divide(neighbor_sum, degree, out=np.zeros(m), where=degree > 0)
+    largest = (w * adj).max(axis=1)
+    i, j = np.nonzero(np.triu(adj == 0, k=1))
+    lhs = terms[i, j]
+    rhs = average[i] + average[j]
+    scale = np.maximum(w[i, j], np.maximum(largest[i], largest[j]))
+    violated = (lhs > rhs + DOM_TOL * scale).tolist()
+    checks = tuple(
+        DominationCheck(pair=(a + 1, b + 1), lhs=left, rhs=right, slack=right - left)
+        for a, b, left, right in zip(i.tolist(), j.tolist(), lhs.tolist(), rhs.tolist())
+    )
+    violations = tuple(c for c, bad in zip(checks, violated) if bad)
+    return DominationReport(weighted=weighted, checks=checks, violations=violations)
 
 
 def require_domination(
     inst: TensorSumInstance,
     g: InteractionGraph,
     phi: PhiTable | None = None,
+    report: DominationReport | None = None,
 ) -> DominationReport:
-    """Run the weighted edge-domination check, raising DominationError
-    (with the full report attached) when it fails."""
-    report = check_domination(inst, g, weighted=True, phi=phi)
+    """Run the weighted edge-domination check (or take its ``report``),
+    raising DominationError (with the full report attached) when it fails."""
+    if report is None:
+        report = check_domination(inst, g, weighted=True, phi=phi)
     if not report.satisfied:
         worst = min(report.violations, key=lambda c: c.slack)
         raise DominationError(
@@ -295,20 +331,20 @@ def sparse_bound(
     inst: TensorSumInstance,
     g: InteractionGraph,
     phi: PhiTable | None = None,
+    domination: DominationReport | None = None,
 ) -> float:
     """Graph-restricted bound sum c_i^2 + C(G) * sum_edges |c_i c_j| phi_ij.
 
-    Only proven under edge domination: if the weighted check fails this
-    raises DominationError instead of returning an unproven number, and a
-    graph with an isolated vertex has no finite C(G).
+    Only proven under edge domination: if the weighted check (run here
+    unless its report is passed as ``domination``) fails this raises
+    DominationError instead of returning an unproven number, and a graph
+    with an isolated vertex has no finite C(G).
     """
     if phi is None:
         phi = phi_table(inst)
-    require_domination(inst, g, phi=phi)
+    require_domination(inst, g, phi=phi, report=domination)
     c_of_g = graph_constant(g)  # IsolatedVertexError when min degree is 0
-    return float(np.sum(inst.weights ** 2)) + c_of_g * weighted_edge_sum(
-        phi, inst.weights, g
-    )
+    return _sum_c_squared(inst) + c_of_g * weighted_edge_sum(phi, inst.weights, g)
 
 
 def exact_reference(
@@ -356,8 +392,8 @@ def _tensor_sum_matvec(inst: TensorSumInstance):
     y_i^T.
     """
     dh, dk = inst.dim_h, inst.dim_k
-    xs = inst.weights[:, None, None] * np.stack(inst.x)
-    ys_t = np.stack(inst.y).transpose(0, 2, 1).reshape(inst.m * dk, dk)
+    xs = inst.weights[:, None, None] * inst.x
+    ys_t = inst.y.transpose(0, 2, 1).reshape(inst.m * dk, dk)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         t = xs @ v.reshape(dh, dk)
@@ -498,10 +534,10 @@ def _exact_provenance(spec: ExtremeSpectrum) -> str:
 class BoundReport:
     """Everything the engine can say about one instance.
 
-    ``baseline_bound`` and ``complete_bound`` share the same all-pairs
-    formula; both are reported so the graph path shows what restricting
-    to edges buys or costs. ``sparse_bound`` is present only when a graph
-    was supplied, has minimum degree >= 1, and passes edge domination.
+    ``baseline_bound`` repeats ``complete_bound``: the same all-pairs
+    value, kept in the schema so the graph path shows what restricting to
+    edges buys or costs. ``sparse_bound`` is present only when a graph was
+    supplied, has minimum degree >= 1, and passes edge domination.
     ``exact_norm_squared`` is present only under the dimension cap;
     ``provenance`` says how it was computed, or why it was not.
     """
@@ -519,7 +555,7 @@ class BoundReport:
     domination: DominationReport | None = None
     exact_norm_squared: float | None = None
     exact_lambda_max: float | None = None
-    provenance: tuple[tuple[str, str], ...] = tuple(sorted(PROVENANCE.items()))
+    provenance: dict[str, str] = field(default_factory=lambda: dict(sorted(PROVENANCE.items())))
 
 
 def build_report(
@@ -537,9 +573,7 @@ def build_report(
     recording any violations.
     """
     phi = phi_table(inst)
-    sum_c_sq = float(np.sum(inst.weights ** 2))
-    total = weighted_pair_sum(phi, inst.weights)
-    all_pairs_bound = sum_c_sq + total
+    complete = complete_bound(inst, phi)
 
     c_of_g = None
     edge_sum = None
@@ -548,12 +582,10 @@ def build_report(
     if g is not None:
         domination = check_domination(inst, g, weighted=True, phi=phi)
         edge_sum = weighted_edge_sum(phi, inst.weights, g)
-        try:
+        if g.min_degree() > 0:
             c_of_g = graph_constant(g)
-        except IsolatedVertexError:
-            c_of_g = None
-        if domination.satisfied and c_of_g is not None:
-            sparse = sum_c_sq + c_of_g * edge_sum
+            if domination.satisfied:
+                sparse = sparse_bound(inst, g, phi, domination)
 
     exact_sq = None
     lam_max = None
@@ -571,15 +603,26 @@ def build_report(
         m=inst.m,
         dim_h=inst.dim_h,
         dim_k=inst.dim_k,
-        sum_c_squared=sum_c_sq,
-        total_phi_sum=total,
-        baseline_bound=all_pairs_bound,
-        complete_bound=all_pairs_bound,
+        sum_c_squared=_sum_c_squared(inst),
+        total_phi_sum=weighted_pair_sum(phi, inst.weights),
+        baseline_bound=complete,
+        complete_bound=complete,
         graph_constant=c_of_g,
         edge_phi_sum=edge_sum,
         sparse_bound=sparse,
         domination=domination,
         exact_norm_squared=exact_sq,
         exact_lambda_max=lam_max,
-        provenance=tuple(sorted(provenance.items())),
+        provenance=dict(sorted(provenance.items())),
     )
+
+
+def exceeded_bounds(report: BoundReport, tol: float) -> list[tuple[str, float]]:
+    """(name, value) of every bound in ``report`` that its exact_norm_squared
+    exceeds by more than ``tol``. Any entry means a bug, since the bounds
+    are proven."""
+    exact = report.exact_norm_squared
+    if exact is None:
+        return []
+    bounds = (("complete bound", report.complete_bound), ("sparse bound", report.sparse_bound))
+    return [(name, value) for name, value in bounds if value is not None and exact > value + tol]

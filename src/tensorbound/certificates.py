@@ -127,8 +127,7 @@ def counting_certificate(
             raise ValueError(f"graph has {g.m} vertices but there are {w.size} weights")
         c_of_g = graph_constant(g)
         edges_raw = excess / (c_of_g * t)
-        ends = np.asarray(g.edges, dtype=int).reshape(-1, 2) - 1
-        edge_caps = 4.0 * products[ends[:, 0], ends[:, 1]]
+        edge_caps = 4.0 * products[np.triu(g.adjacency_matrix()) > 0]
         edges = _fewest_heavy(excess / c_of_g, edge_caps, t, slack)
     pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
     return CountingBound(
@@ -210,23 +209,6 @@ class CertificateReport:
     counting: tuple[CountingBound, ...] = ()
     phi_threshold_variant: PhiThresholdBound | None = None
     domination: str | None = None
-
-
-def aggregate_certificate(
-    beta: float,
-    *,
-    weights=None,
-    instance: TensorSumInstance | None = None,
-    g: InteractionGraph | None = None,
-) -> CertificateReport:
-    """Aggregate lower bounds on interaction mass from an observed value.
-
-    Exactly one of ``weights`` / ``instance`` must be given. With an
-    instance and a graph the edge-domination check runs (raising
-    DominationError on failure); with bare weights and a graph the
-    report records that domination was asserted, not verified.
-    """
-    return build_certificate_report(beta, weights=weights, instance=instance, g=g)
 
 
 def build_certificate_report(

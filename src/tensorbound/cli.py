@@ -16,7 +16,10 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .bounds import (
     BoundReport,
@@ -25,6 +28,7 @@ from .bounds import (
     build_report,
     check_domination,
     exact_reference,
+    exceeded_bounds,
     extreme_spectrum,
 )
 from .certificates import CertificateReport, build_certificate_report
@@ -32,7 +36,7 @@ from .demos import DEMO_NAMES, PARAMETRIC, build_demo, default_filename
 from .graphs import InteractionGraph
 from .instance_io import load_graph, load_instance, save_instance
 from .linalg import DEFAULT_DIM_CAP, SpectralSummary
-from .sweep import GRAPH_MODES, SweepConfig, SweepResult, run_sweep
+from .sweep import GRAPH_MODES, SweepConfig, SweepResult, TrialResult, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -56,20 +60,40 @@ def _kv_lines(items) -> str:
     return "\n".join(f"{k + ':':<{width + 2}}{_fmt(v)}" for k, v in items)
 
 
+def _cell(v) -> str:
+    """One CSV cell: empty for None, full precision for floats."""
+    if v is None:
+        return ""
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 # ---------------------------------------------------------------------------
 # report -> dict (JSON) and text renderers
 
 
-def domination_to_dict(rep: DominationReport) -> dict:
-    def check(c):
-        return {"pair": list(c.pair), "lhs": c.lhs, "rhs": c.rhs, "slack": c.slack}
+def report_to_dict(rep) -> dict:
+    """JSON form of a report dataclass: its fields in declaration order,
+    with nested reports, tuples, arrays and dicts encoded recursively. The
+    report dataclasses declare their fields in JSON key order, so their
+    declarations are the report schema."""
+    return {f.name: _jsonable(getattr(rep, f.name)) for f in fields(rep)}
 
-    return {
-        "weighted": rep.weighted,
-        "satisfied": rep.satisfied,
-        "checks": [check(c) for c in rep.checks],
-        "violations": [check(c) for c in rep.violations],
-    }
+
+def _jsonable(v):
+    if is_dataclass(v):
+        return report_to_dict(v)
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return [_jsonable(x) for x in v]
+    return v
+
+
+def bound_report_to_dict(rep: BoundReport) -> dict:
+    """A BoundReport as JSON, led by the marker of its 1-based pairs."""
+    return {"indexing": "1-based", **report_to_dict(rep)}
 
 
 def domination_text(rep: DominationReport) -> str:
@@ -89,26 +113,6 @@ def domination_text(rep: DominationReport) -> str:
             f"rhs {_fmt(c.rhs)}  slack {_fmt(c.slack)}  [{status}]"
         )
     return "\n".join(lines)
-
-
-def bound_report_to_dict(rep: BoundReport) -> dict:
-    return {
-        "indexing": "1-based",
-        "m": rep.m,
-        "dim_h": rep.dim_h,
-        "dim_k": rep.dim_k,
-        "sum_c_squared": rep.sum_c_squared,
-        "total_phi_sum": rep.total_phi_sum,
-        "baseline_bound": rep.baseline_bound,
-        "complete_bound": rep.complete_bound,
-        "graph_constant": rep.graph_constant,
-        "edge_phi_sum": rep.edge_phi_sum,
-        "sparse_bound": rep.sparse_bound,
-        "domination": domination_to_dict(rep.domination) if rep.domination else None,
-        "exact_norm_squared": rep.exact_norm_squared,
-        "exact_lambda_max": rep.exact_lambda_max,
-        "provenance": dict(rep.provenance),
-    }
 
 
 def bound_report_text(rep: BoundReport) -> str:
@@ -157,18 +161,8 @@ def bound_report_csv(rep: BoundReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BOUND_CSV_FIELDS)
-    d = bound_report_to_dict(rep)
-    writer.writerow(["" if d[k] is None else repr(d[k]) if isinstance(d[k], float) else d[k] for k in BOUND_CSV_FIELDS])
+    writer.writerow([_cell(getattr(rep, k)) for k in BOUND_CSV_FIELDS])
     return buf.getvalue().rstrip("\n")
-
-
-def spectral_to_dict(s: SpectralSummary) -> dict:
-    return {
-        "eigenvalues": [float(v) for v in s.eigenvalues],
-        "spectral_norm": s.spectral_norm,
-        "lambda_max": s.lambda_max,
-        "lambda_min": s.lambda_min,
-    }
 
 
 def spectral_text(s: SpectralSummary) -> str:
@@ -181,42 +175,6 @@ def spectral_text(s: SpectralSummary) -> str:
             ("norm_squared", s.spectral_norm ** 2),
         ]
     )
-
-
-def certificate_to_dict(rep: CertificateReport) -> dict:
-    def counting(c):
-        return {
-            "threshold": c.threshold,
-            "pairs_raw": c.pairs_raw,
-            "pairs": c.pairs,
-            "edges_raw": c.edges_raw,
-            "edges": c.edges,
-        }
-
-    variant = None
-    if rep.phi_threshold_variant is not None:
-        v = rep.phi_threshold_variant
-        variant = {
-            "phi_threshold": v.phi_threshold,
-            "c_max": v.c_max,
-            "effective_threshold": v.effective_threshold,
-            "pairs_raw": v.pairs_raw,
-            "pairs": v.pairs,
-            "edges_raw": v.edges_raw,
-            "edges": v.edges,
-        }
-    return {
-        "beta": rep.beta,
-        "beta_source": rep.beta_source,
-        "sum_c_squared": rep.sum_c_squared,
-        "excess": rep.excess,
-        "aggregate_all_pairs": rep.aggregate_all_pairs,
-        "aggregate_edges": rep.aggregate_edges,
-        "graph_constant": rep.graph_constant,
-        "counting": [counting(c) for c in rep.counting],
-        "phi_threshold_variant": variant,
-        "domination": rep.domination,
-    }
 
 
 def certificate_text(rep: CertificateReport) -> str:
@@ -274,38 +232,14 @@ def sweep_text(result: SweepResult) -> str:
 
 
 def sweep_csv(result: SweepResult) -> str:
+    """One row per trial: the TrialResult fields, violations as a count."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "index",
-            "m",
-            "dim_h",
-            "dim_k",
-            "exact_norm_squared",
-            "complete_bound",
-            "complete_ratio",
-            "domination_satisfied",
-            "sparse_bound",
-            "sparse_ratio",
-            "violations",
-        ]
-    )
+    names = [f.name for f in fields(TrialResult)]
+    writer.writerow(names)
     for t in result.trials:
         writer.writerow(
-            [
-                t.index,
-                t.m,
-                t.dim_h,
-                t.dim_k,
-                repr(t.exact_norm_squared),
-                repr(t.complete_bound),
-                repr(t.complete_ratio),
-                t.domination_satisfied,
-                "" if t.sparse_bound is None else repr(t.sparse_bound),
-                "" if t.sparse_ratio is None else repr(t.sparse_ratio),
-                len(t.violations),
-            ]
+            [_cell(len(t.violations) if n == "violations" else getattr(t, n)) for n in names]
         )
     return buf.getvalue().rstrip("\n")
 
@@ -446,15 +380,14 @@ def cmd_bound(args, parser) -> int:
     else:
         print(bound_report_text(report))
 
-    if (
-        report.exact_norm_squared is not None
-        and report.exact_norm_squared > report.complete_bound + args.tol
-    ):
+    exceeded = exceeded_bounds(report, args.tol)
+    for name, value in exceeded:
         print(
             f"error: exact norm^2 {report.exact_norm_squared!r} exceeds the "
-            f"complete bound {report.complete_bound!r}; this indicates a bug",
+            f"{name} {value!r}; this indicates a bug",
             file=sys.stderr,
         )
+    if exceeded:
         return EXIT_VALIDATION
     if graph is not None and report.sparse_bound is None:
         if report.domination is not None and not report.domination.satisfied:
@@ -475,7 +408,7 @@ def cmd_exact(args, parser) -> int:
     inst, _ = load_instance(args.instance)
     summary = exact_reference(inst, dim_cap=args.dim_cap)
     if args.output == "json":
-        _emit_json(spectral_to_dict(summary))
+        _emit_json(report_to_dict(summary))
     else:
         print(spectral_text(summary))
     return EXIT_OK
@@ -488,7 +421,7 @@ def cmd_check_domination(args, parser) -> int:
         parser.error("check-domination needs a graph (embedded or --graph FILE)")
     report = check_domination(inst, graph, weighted=not args.unweighted)
     if args.output == "json":
-        _emit_json(domination_to_dict(report))
+        _emit_json(report_to_dict(report))
     else:
         print(domination_text(report))
     return EXIT_OK if report.satisfied else EXIT_VALIDATION
@@ -532,7 +465,7 @@ def cmd_certify(args, parser) -> int:
         beta_source=beta_source,
     )
     if args.output == "json":
-        _emit_json(certificate_to_dict(report))
+        _emit_json(report_to_dict(report))
     else:
         print(certificate_text(report))
     return EXIT_OK

@@ -71,6 +71,16 @@ class InteractionGraph:
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.m + 1) if self.degree(i) == 0)
 
+    def adjacency_matrix(self) -> np.ndarray:
+        """Symmetric (m, m) array, 0-based: 1.0 where an edge joins i+1
+        and j+1, 0.0 elsewhere (the diagonal included)."""
+        adj = np.zeros((self.m, self.m))
+        if self.edges:
+            ends = np.asarray(self.edges) - 1
+            adj[ends[:, 0], ends[:, 1]] = 1.0
+            adj[ends[:, 1], ends[:, 0]] = 1.0
+        return adj
+
 
 def complete_graph(m: int) -> InteractionGraph:
     """All m(m-1)/2 edges present."""

@@ -154,15 +154,21 @@ def hermitian_eig(a: np.ndarray) -> SpectralSummary:
     )
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Operator norm (largest singular value) of a square matrix.
+def spectral_norm(a: np.ndarray):
+    """Operator norm (largest singular value) of a square matrix, as a
+    float, or of every matrix in a (k, d, d) stack, as an array of k norms.
 
     Computed as sqrt(lambda_max(a* a)), which reuses the Hermitian
-    eigensolver and agrees with max |eigenvalue| for Hermitian input.
+    eigensolver and agrees with max |eigenvalue| for Hermitian input. A
+    stack goes through one batched product and one batched eigvalsh call,
+    with the same arithmetic per matrix as the single-matrix case.
     """
-    a = as_operator(a)
-    w = np.linalg.eigvalsh(a.conj().T @ a)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        a = as_operator(a)
+    w = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)[..., -1]
+    norms = np.sqrt(np.maximum(w, 0.0))
+    return float(norms) if a.ndim == 2 else norms
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Randomized verification sweep.
 
-Each trial draws a random instance (seeded, reproducible), computes the
-exact squared norm by dense diagonalization, and checks it against every
-bound that applies. Any violation signals an implementation bug, since
-the inequalities themselves are proven.
+Each trial draws a random instance (seeded, reproducible) and runs
+``build_report`` on it: the bounds, and the exact squared norm by dense
+diagonalization up to product dimension 256 (matrix-free Lanczos above).
+The exact value is checked against every bound that applies. Any
+violation signals an implementation bug, since the inequalities
+themselves are proven.
 
 Per-trial seeds are derived from (sweep seed, trial index), so results
 are independent of execution order; trials could run concurrently and
@@ -16,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    TensorSumInstance,
-    check_domination,
-    complete_bound,
-    exact_reference,
-    phi_table,
-    weighted_edge_sum,
-)
+from .bounds import TensorSumInstance, build_report, exceeded_bounds
 from .families import ENSEMBLE_KINDS, RNG_ALGORITHM, RandomEnsembleConfig, random_operator
-from .graphs import InteractionGraph, complete_graph, graph_constant, random_graph_min_degree_one
-from .linalg import DEFAULT_DIM_CAP
+from .graphs import InteractionGraph, complete_graph, random_graph_min_degree_one
+from .linalg import DEFAULT_DIM_CAP, check_dim_cap
 
 GRAPH_MODES = ("complete", "random_min_degree_1")
 
@@ -106,47 +101,33 @@ def _trial_graph(
     return random_graph_min_degree_one(m, rng)
 
 
+def _ratio(exact_sq: float, bound: float) -> float:
+    return exact_sq / bound if bound > 0 else 0.0
+
+
 def run_trial(config: SweepConfig, index: int) -> TrialResult:
     rng = np.random.Generator(np.random.PCG64(trial_seed(config.seed, index)))
     inst = _random_instance(rng, config)
     graph = _trial_graph(rng, inst.m, config)
-
-    phi = phi_table(inst)
-    bound = complete_bound(inst, phi)
-    exact_sq = exact_reference(inst, dim_cap=config.dim_cap).spectral_norm ** 2
-    ratio = exact_sq / bound if bound > 0 else 0.0
-
-    violations = []
-    if exact_sq > bound + config.tol:
-        violations.append(
-            f"trial {index}: exact^2 {exact_sq:.12g} exceeds complete bound {bound:.12g}"
-        )
-
-    domination = check_domination(inst, graph, weighted=True, phi=phi)
-    sparse = None
-    sparse_ratio = None
-    if domination.satisfied:
-        sparse = float(np.sum(inst.weights ** 2)) + graph_constant(
-            graph
-        ) * weighted_edge_sum(phi, inst.weights, graph)
-        sparse_ratio = exact_sq / sparse if sparse > 0 else 0.0
-        if exact_sq > sparse + config.tol:
-            violations.append(
-                f"trial {index}: exact^2 {exact_sq:.12g} exceeds sparse bound {sparse:.12g}"
-            )
-
+    check_dim_cap(inst.dim_h, inst.dim_k, config.dim_cap)
+    report = build_report(inst, graph, dim_cap=config.dim_cap)
+    exact_sq = report.exact_norm_squared
+    sparse = report.sparse_bound
     return TrialResult(
         index=index,
         m=inst.m,
         dim_h=inst.dim_h,
         dim_k=inst.dim_k,
         exact_norm_squared=exact_sq,
-        complete_bound=bound,
-        complete_ratio=ratio,
-        domination_satisfied=domination.satisfied,
+        complete_bound=report.complete_bound,
+        complete_ratio=_ratio(exact_sq, report.complete_bound),
+        domination_satisfied=report.domination.satisfied,
         sparse_bound=sparse,
-        sparse_ratio=sparse_ratio,
-        violations=tuple(violations),
+        sparse_ratio=None if sparse is None else _ratio(exact_sq, sparse),
+        violations=tuple(
+            f"trial {index}: exact^2 {exact_sq:.12g} exceeds {name} {value:.12g}"
+            for name, value in exceeded_bounds(report, config.tol)
+        ),
     )
 
 

@@ -82,3 +82,53 @@ def count_edges_at_least(values: dict, weights, edges_1based, t: float) -> int:
         for i, j in edges_1based
         if abs(float(weights[i - 1]) * float(weights[j - 1])) * values[(i - 1, j - 1)] >= t
     )
+
+
+def sequential_pair_sum(values: dict, weights) -> float:
+    """sum over pairs i < j of |c_i c_j| phi_ij, one pair at a time."""
+    total = 0.0
+    for (i, j), phi in sorted(values.items()):
+        total += abs(float(weights[i]) * float(weights[j])) * phi
+    return total
+
+
+def sequential_edge_sum(values: dict, weights, edges_1based) -> float:
+    """Same sum restricted to the (1-based) edges of a graph."""
+    total = 0.0
+    for i, j in sorted(edges_1based):
+        total += abs(float(weights[i - 1]) * float(weights[j - 1])) * values[(i - 1, j - 1)]
+    return total
+
+
+def loop_domination(values: dict, weights, m: int, edges_1based, weighted: bool, tol: float) -> dict:
+    """Edge domination checked one non-edge at a time.
+
+    Returns {(i, j) 1-based non-edge: (lhs, rhs, violated)} where
+    lhs = w_ij phi_ij, rhs sums the neighborhood averages of w_ik phi_ik at
+    both ends, and a non-edge violates when lhs > rhs + tol * s, with s the
+    largest w_ab in its comparison (w_ij = |c_i c_j|, or 1 when unweighted).
+    """
+    edges = {tuple(sorted(e)) for e in edges_1based}
+    nbrs = {v: sorted(k for k in range(1, m + 1) if tuple(sorted((v, k))) in edges) for v in range(1, m + 1)}
+
+    def w(i, j):
+        return abs(float(weights[i - 1]) * float(weights[j - 1])) if weighted else 1.0
+
+    def phi(i, j):
+        return values[(min(i, j) - 1, max(i, j) - 1)]
+
+    def average(v):
+        if not nbrs[v]:
+            return 0.0
+        return sum(w(v, k) * phi(v, k) for k in nbrs[v]) / len(nbrs[v])
+
+    out = {}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            if (i, j) in edges:
+                continue
+            lhs = w(i, j) * phi(i, j)
+            rhs = average(i) + average(j)
+            scale = max([w(i, j)] + [w(i, k) for k in nbrs[i]] + [w(j, k) for k in nbrs[j]])
+            out[(i, j)] = (lhs, rhs, lhs > rhs + tol * scale)
+    return out

@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_phi_breakdown, svd_norm
+from oracles import (
+    brute_phi_breakdown,
+    loop_domination,
+    sequential_edge_sum,
+    sequential_pair_sum,
+    svd_norm,
+)
 from tensorbound import (
     DimensionCapError,
     DominationError,
@@ -29,7 +35,8 @@ from tensorbound import (
     weighted_edge_sum,
     weighted_pair_sum,
 )
-from tensorbound.graphs import InteractionGraph
+from tensorbound.bounds import DOM_TOL, build_report
+from tensorbound.graphs import InteractionGraph, random_graph_min_degree_one
 
 SX = pauli("x")
 SY = pauli("y")
@@ -289,6 +296,91 @@ class TestDomination:
         inst = random_instance(3, m=3)
         with pytest.raises(ValueError, match="vertices"):
             check_domination(inst, complete_graph(4))
+
+
+def small_weight_instance(t):
+    """x = y = [Z, 0, 0, X] with weights t [1, .1, .1, 1] on edges (1,2), (3,4).
+
+    Non-edge (1,4) carries lhs 2 t^2 against rhs 0 at every t."""
+    zero = np.zeros((2, 2), dtype=complex)
+    ops = [SZ, zero, zero, SX]
+    inst = TensorSumInstance(ops, ops, t * np.array([1.0, 0.1, 0.1, 1.0]))
+    return inst, InteractionGraph(4, [(1, 2), (3, 4)])
+
+
+class TestDominationTolerance:
+    @pytest.mark.parametrize("t", [1.0, 1e-7])
+    def test_small_weights_do_not_hide_a_violation(self, t):
+        inst, graph = small_weight_instance(t)
+        report = check_domination(inst, graph)
+        assert not report.satisfied
+        assert [c.pair for c in report.violations] == [(1, 4)]
+        assert report.violations[0].lhs == pytest.approx(2 * t * t, rel=1e-12)
+        bounds = build_report(inst, graph)
+        assert bounds.sparse_bound is None
+        # the graph bound would claim sum c^2 = 2.02 t^2 against ||B||^2 = 4 t^2
+        assert bounds.exact_norm_squared == pytest.approx(4 * t * t, rel=1e-9)
+
+    @given(seeds, st.integers(min_value=-30, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=3, k=-30)
+    @example(seed=3, k=30)
+    def test_violations_invariant_under_power_of_two_scaling(self, seed, k):
+        inst = random_instance(seed, m=5)
+        graph = random_graph_min_degree_one(5, np.random.default_rng(seed))
+        scaled = TensorSumInstance(inst.x, inst.y, 2.0 ** k * inst.weights)
+        base = check_domination(inst, graph)
+        after = check_domination(scaled, graph)
+        assert [c.pair for c in after.violations] == [c.pair for c in base.violations]
+        for c, d in zip(base.checks, after.checks):
+            assert d.lhs == 4.0 ** k * c.lhs and d.rhs == 4.0 ** k * c.rhs
+
+
+def _graph_cases():
+    """(instance, graph, weighted) cases covering random graphs, an
+    isolated vertex, zero weights and the unweighted mode."""
+    cases = []
+    for seed in range(6):
+        inst = random_instance(200 + seed, m=6)
+        graph = random_graph_min_degree_one(6, np.random.default_rng(seed))
+        cases.append(pytest.param(inst, graph, True, id=f"random-{seed}"))
+    inst = random_instance(300, m=6)
+    graph = InteractionGraph(6, [(1, 2), (2, 3), (4, 5)])
+    cases.append(pytest.param(inst, graph, True, id="isolated-vertex"))
+    base = random_instance(301, m=5)
+    zeroed = TensorSumInstance(base.x, base.y, base.weights * [1.0, 0.0, 1.0, 0.0, 1.0])
+    graph = InteractionGraph(5, [(1, 2), (2, 4), (3, 5)])
+    cases.append(pytest.param(zeroed, graph, True, id="zero-weights"))
+    for seed in range(2):
+        inst = random_instance(400 + seed, m=6)
+        graph = random_graph_min_degree_one(6, np.random.default_rng(50 + seed))
+        cases.append(pytest.param(inst, graph, False, id=f"unweighted-{seed}"))
+    return cases
+
+
+class TestArrayCoreMatchesLoops:
+    """The array forms of the weighted sums and of edge domination against
+    one-pair-at-a-time loops on phi from SVD norms."""
+
+    @pytest.mark.parametrize("inst,graph,weighted", _graph_cases())
+    def test_against_loops(self, inst, graph, weighted):
+        brute = brute_phi_breakdown(inst.x, inst.y)
+        table = phi_table(inst)
+        close = dict(rel=1e-12, abs=1e-15)
+        assert weighted_pair_sum(table, inst.weights) == pytest.approx(
+            sequential_pair_sum(brute, inst.weights), **close
+        )
+        assert weighted_edge_sum(table, inst.weights, graph) == pytest.approx(
+            sequential_edge_sum(brute, inst.weights, graph.edges), **close
+        )
+        expected = loop_domination(brute, inst.weights, inst.m, graph.edges, weighted, DOM_TOL)
+        report = check_domination(inst, graph, weighted=weighted, phi=table)
+        assert [c.pair for c in report.checks] == sorted(expected)
+        for c in report.checks:
+            lhs, rhs, _ = expected[c.pair]
+            assert c.lhs == pytest.approx(lhs, **close)
+            assert c.rhs == pytest.approx(rhs, **close)
+        assert {c.pair for c in report.violations} == {p for p, v in expected.items() if v[2]}
 
 
 class TestSparseBound:

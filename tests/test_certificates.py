@@ -13,7 +13,6 @@ from tensorbound import (
     DominationError,
     IsolatedVertexError,
     TensorSumInstance,
-    aggregate_certificate,
     build_certificate_report,
     check_domination,
     clifford_generators,
@@ -69,14 +68,14 @@ class TestExcess:
 
 class TestAggregate:
     def test_chsh(self):
-        report = aggregate_certificate(2 * math.sqrt(2), weights=[1, 1, 1, 1])
+        report = build_certificate_report(2 * math.sqrt(2), weights=[1, 1, 1, 1])
         assert report.excess == pytest.approx(4.0, abs=1e-12)
         assert report.aggregate_all_pairs == pytest.approx(4.0, abs=1e-12)
         assert report.aggregate_edges is None
         assert report.domination is None
 
     def test_trivial_regime_all_zero(self):
-        report = aggregate_certificate(1.0, weights=[1, 1])
+        report = build_certificate_report(1.0, weights=[1, 1])
         assert report.excess == 0.0
         assert report.aggregate_all_pairs == 0.0
 
@@ -84,7 +83,7 @@ class TestAggregate:
         m = 4
         gens = clifford_generators(m)
         inst = TensorSumInstance(gens, gens)
-        report = aggregate_certificate(float(m), instance=inst, g=complete_graph(m))
+        report = build_certificate_report(float(m), instance=inst, g=complete_graph(m))
         assert report.aggregate_all_pairs == pytest.approx(m * (m - 1), abs=1e-9)
         actual = sum(brute_phi_breakdown(inst.x, inst.y).values())
         assert actual == pytest.approx(m * (m - 1), abs=1e-12)
@@ -93,7 +92,7 @@ class TestAggregate:
         assert report.aggregate_edges == pytest.approx(report.aggregate_all_pairs)
 
     def test_weights_with_graph_is_asserted_only(self):
-        report = aggregate_certificate(
+        report = build_certificate_report(
             2.0, weights=[1, 1, 1], g=InteractionGraph(3, [(1, 2), (2, 3)])
         )
         assert report.domination == "asserted, not verified"
@@ -103,18 +102,18 @@ class TestAggregate:
     def test_instance_with_violating_graph_raises(self):
         inst, graph = counterexample_instance()
         with pytest.raises(DominationError):
-            aggregate_certificate(2.0, instance=inst, g=graph)
+            build_certificate_report(2.0, instance=inst, g=graph)
 
     def test_isolated_vertex_rejected(self):
         with pytest.raises(IsolatedVertexError):
-            aggregate_certificate(2.0, weights=[1, 1, 1], g=InteractionGraph(3, [(1, 2)]))
+            build_certificate_report(2.0, weights=[1, 1, 1], g=InteractionGraph(3, [(1, 2)]))
 
     def test_requires_exactly_one_source(self):
         inst = chsh_instance()
         with pytest.raises(ValueError, match="exactly one"):
-            aggregate_certificate(1.0, weights=[1], instance=inst)
+            build_certificate_report(1.0, weights=[1], instance=inst)
         with pytest.raises(ValueError, match="exactly one"):
-            aggregate_certificate(1.0)
+            build_certificate_report(1.0)
 
 
 class TestCounting:
@@ -255,7 +254,7 @@ class TestSoundness:
     def test_aggregate_consistent_with_actual_mass(self, seed):
         inst = random_instance(seed)
         beta = exact_reference(inst).lambda_max
-        report = aggregate_certificate(beta, instance=inst)
+        report = build_certificate_report(beta, instance=inst)
         actual = 0.0
         brute = brute_phi_breakdown(inst.x, inst.y)
         for (i, j), phi in brute.items():
@@ -272,7 +271,7 @@ class TestSoundness:
         if not check_domination(inst, graph).satisfied:
             return
         beta = exact_reference(inst).lambda_max
-        report = aggregate_certificate(beta, instance=inst, g=graph)
+        report = build_certificate_report(beta, instance=inst, g=graph)
         brute = brute_phi_breakdown(inst.x, inst.y)
         actual_edge_mass = sum(
             abs(float(inst.weights[i - 1]) * float(inst.weights[j - 1]))

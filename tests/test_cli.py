@@ -1,6 +1,7 @@
 """End-to-end CLI tests (subprocess, real exit codes)."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,8 @@ import sys
 import pytest
 
 from oracles import brute_phi_breakdown, count_pairs_at_least
+from tensorbound import cli, save_instance
+from test_bounds import small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
 
 
@@ -125,6 +128,37 @@ class TestBound:
         payload = json.loads(proc.stdout)
         assert payload["exact_norm_squared"] is None
         assert payload["complete_bound"] == pytest.approx(4.0, abs=1e-9)
+
+
+class TestBoundSelfCheck:
+    def test_small_weight_violation_refuses_the_graph_bound(self, tmp_path):
+        inst, graph = small_weight_instance(1e-7)
+        path = tmp_path / "small.json"
+        save_instance(path, inst, graph)
+        proc = run_cli("bound", str(path), "--output", "json")
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert payload["sparse_bound"] is None
+        assert [c["pair"] for c in payload["domination"]["violations"]] == [[1, 4]]
+        assert "edge domination fails" in proc.stderr
+        proc = run_cli("check-domination", str(path))
+        assert proc.returncode == 1
+        assert "non-edge (1,4)" in proc.stdout
+        assert "[violated]" in proc.stdout.split("non-edge (1,4)")[1].splitlines()[0]
+
+    def test_too_small_sparse_bound_is_reported(self, demo_dir, monkeypatch, capsys):
+        real = cli.build_report
+
+        def shrunk(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, sparse_bound=report.exact_norm_squared / 2)
+
+        monkeypatch.setattr(cli, "build_report", shrunk)
+        code = cli.main(["bound", str(demo_dir / "demo-star-5.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "exceeds the sparse bound 12.5" in err
+        assert "complete bound" not in err
 
 
 class TestExact:

@@ -44,8 +44,8 @@ class TestRoundTrip:
         path = tmp_path / "inst.json"
         save_instance(path, inst, graph)
         loaded, loaded_graph = load_instance(path)
-        for original, parsed in zip(inst.x + inst.y, loaded.x + loaded.y):
-            assert np.array_equal(original, parsed)
+        assert np.array_equal(inst.x, loaded.x)
+        assert np.array_equal(inst.y, loaded.y)
         assert np.array_equal(inst.weights, loaded.weights)
         assert loaded_graph.edges == graph.edges
 

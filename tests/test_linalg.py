@@ -240,3 +240,14 @@ class TestSpectralNorm:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, int(rng.integers(1, 7)))
         assert spectral_norm(a) == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
+
+    @given(seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_stack_matches_each_matrix_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 7))
+        stack = np.stack([random_matrix(rng, dim) for _ in range(int(rng.integers(1, 6)))])
+        norms = spectral_norm(stack)
+        assert norms.shape == (len(stack),)
+        assert norms.tolist() == [spectral_norm(a) for a in stack]
+        assert spectral_norm(stack[:0]).shape == (0,)
