@@ -29,6 +29,7 @@ from .linalg import (
     SpectralSummary,
     anticommutator,
     as_operator,
+    batches,
     check_dim_cap,
     commutator,
     hermitian_eig,
@@ -43,9 +44,6 @@ DOM_TOL = 1e-12
 
 # Tolerance on the anticommutation precondition of the two-term identity.
 ANTICOMM_TOL = 1e-9
-
-# Complex entries per temporary stack in phi_table's batched products (1 MB).
-PHI_BATCH_ENTRIES = 2 ** 16
 
 # extreme_spectrum assembles and diagonalizes B up to this product
 # dimension and runs Lanczos above it. At m=10 on a 2-core x86 host, dense
@@ -103,25 +101,25 @@ class TensorSumInstance:
                 raise InstanceValidationError("weights must be finite reals")
         for side, ops in (("x", x), ("y", y)):
             dim = ops[0].shape[0]
-            for idx, op in enumerate(ops):
-                if op.shape[0] != dim:
-                    raise InstanceValidationError(
-                        f"{side} operator {idx + 1} of {len(ops)}: dimension "
-                        f"{op.shape[0]} differs from the first {side} operator's "
-                        f"dimension {dim}"
-                    )
-                cert = validate(op)
-                if not cert.is_hermitian:
-                    raise InstanceValidationError(
-                        f"{side} operator {idx + 1} of {len(ops)}: not self-adjoint, "
-                        f"hermiticity defect {cert.hermiticity_defect:.3e}"
-                    )
-                if not cert.is_contraction:
-                    raise InstanceValidationError(
-                        f"{side} operator {idx + 1} of {len(ops)}: not a contraction, "
-                        f"norm {cert.norm:.12g} > 1"
-                    )
-            stack = np.stack(ops)
+            # validate up to the first dimension mismatch: a defect before it is reported first
+            equal = next((k for k, op in enumerate(ops) if op.shape[0] != dim), len(ops))
+            stack = np.stack(ops[:equal])
+            cert = validate(stack)
+            failed = np.flatnonzero(~(cert.is_hermitian & cert.is_contraction))
+            if failed.size:
+                k = int(failed[0])
+                reason = (
+                    f"not self-adjoint, hermiticity defect {cert.hermiticity_defect[k]:.3e}"
+                    if not cert.is_hermitian[k]
+                    else f"not a contraction, norm {cert.norm[k]:.12g} > 1"
+                )
+                raise InstanceValidationError(f"{side} operator {k + 1} of {len(ops)}: {reason}")
+            if equal < len(ops):
+                raise InstanceValidationError(
+                    f"{side} operator {equal + 1} of {len(ops)}: dimension "
+                    f"{ops[equal].shape[0]} differs from the first {side} operator's "
+                    f"dimension {dim}"
+                )
             stack.flags.writeable = False
             object.__setattr__(self, side, stack)
         object.__setattr__(self, "weights", w)
@@ -163,15 +161,14 @@ def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
     """||[a_i, a_j]|| and ||{a_i, a_j}|| for every pair (first[k], second[k])
     of matrices in the stack ``ops``, as two arrays.
 
-    Pairs go through at most PHI_BATCH_ENTRIES // d^2 at a time, so each
-    temporary stack stays near 1 MB: one batch holds all 45 pairs of 10
-    operators up to d = 38, or all 780 pairs of 40 operators up to d = 9.
+    Pairs go through in linalg.batches, so each temporary stack stays near
+    1 MB: one batch holds all 45 pairs of 10 operators up to d = 38, or all
+    780 pairs of 40 operators up to d = 9.
     """
-    step = max(1, PHI_BATCH_ENTRIES // ops.shape[1] ** 2)
     comm, anti = [], []
-    for start in range(0, max(len(first), 1), step):  # one empty batch if m = 1
-        a = ops[first[start:start + step]]
-        b = ops[second[start:start + step]]
+    for part in batches(len(first), ops.shape[1]):  # one empty batch if m = 1
+        a = ops[first[part]]
+        b = ops[second[part]]
         p, q = a @ b, b @ a
         comm.append(spectral_norm(p - q))
         anti.append(spectral_norm(p + q))
@@ -449,7 +446,7 @@ def _require_involutions(named_ops) -> list[np.ndarray]:
             raise ValueError(
                 f"{name} must be a self-adjoint unitary involution "
                 f"(hermiticity defect {cert.hermiticity_defect:.3e}, "
-                f"||a^2 - I|| = {cert.involution_defect:.3e})"
+                f"||a* a - I|| = {cert.involution_defect:.3e})"
             )
         ops.append(op)
     return ops
@@ -619,10 +616,10 @@ def build_report(
 
 def exceeded_bounds(report: BoundReport, tol: float) -> list[tuple[str, float]]:
     """(name, value) of every bound in ``report`` that its exact_norm_squared
-    exceeds by more than ``tol``. Any entry means a bug, since the bounds
-    are proven."""
+    exceeds by more than ``tol * value``, a slack that scales with the weights
+    as both sides do. Any entry means a bug, since the bounds are proven."""
     exact = report.exact_norm_squared
     if exact is None:
         return []
     bounds = (("complete bound", report.complete_bound), ("sparse bound", report.sparse_bound))
-    return [(name, value) for name, value in bounds if value is not None and exact > value + tol]
+    return [(name, b) for name, b in bounds if b is not None and exact > b + tol * b]

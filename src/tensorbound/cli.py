@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-8,
-        help="slack tolerance when comparing exact norms against bounds (default 1e-8)",
+        help="relative slack when comparing exact norms against bounds: a bound b "
+        "is exceeded when the exact value is above b + tol * b (default 1e-8)",
     )
     parser.add_argument(
         "--dim-cap",

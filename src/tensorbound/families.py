@@ -16,10 +16,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_DIM_CAP,
+    HERM_TOL_FACTOR,
     DimensionCapError,
     as_operator,
-    herm_tol,
-    hermiticity_defect,
+    batches,
+    frobenius_norms,
     spectral_norm,
 )
 
@@ -49,41 +50,60 @@ def pauli(which: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Checked facts about one operator.
+    """Checked facts about one operator, or arrays of them for a (k, d, d) stack.
 
     ``is_contraction`` means norm <= 1 + CONTRACTION_TOL;
     ``is_unitary_involution`` additionally requires hermiticity and
-    ||a^2 - I|| <= INVOLUTION_TOL. The defect fields hold the measured
-    residuals so callers can report why a check failed.
+    ||a* a - I|| <= INVOLUTION_TOL (||a^2 - I|| for self-adjoint a). The
+    defect fields hold the measured residuals that explain a failed check.
     """
 
-    is_hermitian: bool
-    hermiticity_defect: float
-    norm: float
-    is_contraction: bool
-    is_unitary_involution: bool
-    involution_defect: float
+    is_hermitian: bool | np.ndarray
+    hermiticity_defect: float | np.ndarray
+    norm: float | np.ndarray
+    is_contraction: bool | np.ndarray
+    is_unitary_involution: bool | np.ndarray
+    involution_defect: float | np.ndarray
+
+
+def _defects_and_squared_singular_values(a: np.ndarray):
+    """Hermiticity defects, their acceptance and the eigenvalues of a* a."""
+    adjoint = np.swapaxes(a.conj(), -1, -2)
+    defect = frobenius_norms(a - adjoint)
+    accepted = defect <= HERM_TOL_FACTOR * np.maximum(1.0, frobenius_norms(a))
+    return defect, accepted, np.linalg.eigvalsh(adjoint @ a)
 
 
 def validate(a) -> ContractionCertificate:
-    """Certify whether a matrix is a self-adjoint contraction / involution.
+    """Certify whether a matrix, or each matrix of a (k, d, d) stack, is a
+    self-adjoint contraction / involution, one linalg.batches batch at a
+    time: a Frobenius reduction gives the hermiticity defects ||a - a*||_F,
+    and one eigvalsh of a* a its eigenvalues mu_i, hence the norm
+    sqrt(mu_max) (the arithmetic of linalg.spectral_norm) and the involution
+    defect max |mu_i - 1|.
 
-    Never raises for a well-formed square matrix; failures show up as
-    False flags plus the measured defects.
+    Never raises for well-formed square matrices; failures show up as False
+    flags plus the measured defects.
     """
-    a = as_operator(a)
-    defect = hermiticity_defect(a)
-    is_herm = defect <= herm_tol(a)
-    norm = spectral_norm(a)
-    inv_defect = spectral_norm(a @ a - np.eye(a.shape[0]))
-    return ContractionCertificate(
-        is_hermitian=is_herm,
-        hermiticity_defect=defect,
-        norm=norm,
-        is_contraction=norm <= 1.0 + CONTRACTION_TOL,
-        is_unitary_involution=is_herm and inv_defect <= INVOLUTION_TOL,
-        involution_defect=inv_defect,
-    )
+    single = np.ndim(a) != 3
+    a = as_operator(a)[None] if single else np.asarray(a, dtype=complex)
+    if not single and (a.shape[1] != a.shape[2] or a.shape[1] < 1 or not np.isfinite(a).all()):
+        raise ValueError(f"operator stack must hold finite square matrices, got shape {a.shape}")
+    parts = [_defects_and_squared_singular_values(a[p]) for p in batches(len(a), a.shape[1])]
+    defect, is_herm, mu = (np.concatenate(arrays) for arrays in zip(*parts))
+    norm = np.sqrt(np.maximum(mu[:, -1], 0.0))
+    inv_defect = np.abs(mu - 1.0).max(axis=1)
+    fields = {
+        "is_hermitian": is_herm,
+        "hermiticity_defect": defect,
+        "norm": norm,
+        "is_contraction": norm <= 1.0 + CONTRACTION_TOL,
+        "is_unitary_involution": is_herm & (inv_defect <= INVOLUTION_TOL),
+        "involution_defect": inv_defect,
+    }
+    if single:
+        fields = {name: value[0].item() for name, value in fields.items()}
+    return ContractionCertificate(**fields)
 
 
 def clifford_generators(m: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, ...]:

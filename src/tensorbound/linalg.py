@@ -27,6 +27,10 @@ DEFAULT_DIM_CAP = 4096
 # Hermiticity is accepted when ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F).
 HERM_TOL_FACTOR = 1e-10
 
+# Complex entries per temporary stack when work on an operator stack runs in
+# batches (1 MB): phi_table's pair products and validate's defects and norms.
+BATCH_ENTRIES = 2 ** 16
+
 # Lanczos accepts an extreme Ritz pair (theta, q) when ||B q - theta q|| <=
 # LANCZOS_TOL * scale, with scale an upper bound on ||B||. The Ritz value is
 # then within that distance of an eigenvalue of B.
@@ -50,36 +54,37 @@ def as_operator(a) -> np.ndarray:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("operator dimension must be at least 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite (no NaN/Inf)")
     return m
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+def batches(count: int, dim: int) -> list[slice]:
+    """Slices cutting ``count`` d x d matrices into batches of at most
+    max(1, BATCH_ENTRIES // d^2); one empty slice when count is 0."""
+    step = max(1, BATCH_ENTRIES // dim ** 2)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Frobenius norm of a - a*."""
-    return frobenius_norm(a - a.conj().T)
-
-
-def herm_tol(a: np.ndarray) -> float:
-    """Hermiticity acceptance threshold, scaled to the matrix size."""
-    return HERM_TOL_FACTOR * max(1.0, frobenius_norm(a))
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||s||_F of each matrix of a stack, through a real view (no temporary)."""
+    k, d, _ = stack.shape
+    v = stack.reshape(k, d * d).view(np.float64)
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def kron(a: np.ndarray, b: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Tensor (Kronecker) product a (x) b.
 
     The result has dimension dim(a)*dim(b) and block structure
-    (a(x)b)[i*db+k, j*db+l] = a[i,j]*b[k,l]. Refuses to build products
+    (a(x)b)[i*db+k, j*db+l] = a[i,j]*b[k,l], the products np.kron forms
+    (without its generic-shape handling). Refuses to build products
     larger than ``dim_cap``.
     """
     a = as_operator(a)
     b = as_operator(b)
     check_dim_cap(a.shape[0], b.shape[0], dim_cap)
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def check_dim_cap(dim_a: int, dim_b: int, dim_cap: int) -> None:
@@ -137,11 +142,12 @@ def hermitian_eig(a: np.ndarray) -> SpectralSummary:
     no eigenvectors are computed.
     """
     a = as_operator(a)
-    defect = hermiticity_defect(a)
-    if defect > herm_tol(a):
+    defect = np.linalg.norm(a - a.conj().T)
+    tol = HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a))
+    if defect > tol:
         raise ValueError(
             f"matrix is not Hermitian: ||a - a*||_F = {defect:.3e} "
-            f"exceeds tolerance {herm_tol(a):.3e}"
+            f"exceeds tolerance {tol:.3e}"
         )
     w = np.linalg.eigvalsh(a)
     lo = float(w[0])

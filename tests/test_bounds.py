@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +37,9 @@ from tensorbound import (
     weighted_edge_sum,
     weighted_pair_sum,
 )
-from tensorbound.bounds import DOM_TOL, build_report
+from tensorbound import bounds
+from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
+from tensorbound.demos import build_demo
 from tensorbound.graphs import InteractionGraph, random_graph_min_degree_one
 
 SX = pauli("x")
@@ -129,6 +133,79 @@ class TestInstanceValidation:
         (check,) = report.checks
         assert check.pair == (1, 2)
         assert check.lhs == 0.0
+
+
+NON_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def validation_message(x, y):
+    with pytest.raises(InstanceValidationError) as err:
+        TensorSumInstance(x, y)
+    return str(err.value)
+
+
+class TestValidationMessages:
+    """Which operator a stacked validation names, and the exact text."""
+
+    def test_contraction_defect_in_x(self):
+        assert validation_message([SZ, SX, 2 * SZ], [SZ, SX, SY]) == (
+            "x operator 3 of 3: not a contraction, norm 2 > 1"
+        )
+
+    def test_hermiticity_defect_in_y(self):
+        # ||N - N*||_F = sqrt(2)
+        assert validation_message([SZ, SX, SY], [SZ, NON_HERMITIAN, SY]) == (
+            "y operator 2 of 3: not self-adjoint, hermiticity defect 1.414e+00"
+        )
+
+    def test_two_defects_in_one_operator_name_hermiticity(self):
+        # 3 N has norm 3 and defect 3 sqrt(2)
+        assert validation_message([SZ, 3 * NON_HERMITIAN], [SZ, SX]) == (
+            "x operator 2 of 2: not self-adjoint, hermiticity defect 4.243e+00"
+        )
+
+    def test_first_failing_operator_and_x_before_y(self):
+        assert validation_message([SZ, 2 * SX, NON_HERMITIAN], [NON_HERMITIAN, SX, SZ]) == (
+            "x operator 2 of 3: not a contraction, norm 2 > 1"
+        )
+
+    def test_defect_before_a_dimension_mismatch_is_reported_first(self):
+        half = 0.5 * np.eye(3, dtype=complex)
+        assert validation_message([SZ, NON_HERMITIAN, half], [SZ, SZ, SZ]) == (
+            "x operator 2 of 3: not self-adjoint, hermiticity defect 1.414e+00"
+        )
+        assert validation_message([SZ, half, NON_HERMITIAN], [SZ, SZ, SZ]) == (
+            "x operator 2 of 3: dimension 3 differs from the first x operator's dimension 2"
+        )
+        assert validation_message([SZ, SX], [SZ, half]) == (
+            "y operator 2 of 2: dimension 3 differs from the first y operator's dimension 2"
+        )
+
+
+class TestValidationPassCount:
+    """Validation is one batched pass per side, whatever m is, while a side
+    fits one linalg batch (2^16 complex entries): a loop over the operators
+    would multiply these counts by m."""
+
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    def test_two_validate_and_two_eigvalsh_calls(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        x = [random_operator(RandomEnsembleConfig(seed=int(s), dim=3, kind="contraction"))
+             for s in rng.integers(0, 2**32, m)]
+        y = [random_operator(RandomEnsembleConfig(seed=int(s), dim=2, kind="unitary_involution"))
+             for s in rng.integers(0, 2**32, m)]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(bounds, "validate", counted("validate", bounds.validate))
+        TensorSumInstance(x, y)
+        assert calls == {"validate": 2, "eigvalsh": 2}
 
 
 class TestPhiTable:
@@ -569,3 +646,46 @@ class TestBoundReport:
         report = build_report(inst, dim_cap=2)
         assert report.exact_norm_squared is None
         assert report.complete_bound == pytest.approx(4.0)
+
+
+def scaled_star(scale):
+    """The star --m 5 demo (||B||^2 = 25) with every weight times ``scale``."""
+    inst, graph = build_demo("star", 5)
+    return build_report(TensorSumInstance(inst.x, inst.y, inst.weights * scale), graph)
+
+
+def with_bounds(report, value):
+    return dataclasses.replace(report, complete_bound=value, sparse_bound=value)
+
+
+class TestExceededBounds:
+    """The bound check is relative: exact > b + tol * b."""
+
+    def test_half_bounds_are_caught_at_small_weights(self):
+        report = scaled_star(1e-5)
+        assert report.exact_norm_squared == pytest.approx(2.5e-9, rel=1e-12)
+        assert exceeded_bounds(report, 1e-8) == []
+        half = report.exact_norm_squared / 2
+        assert exceeded_bounds(with_bounds(report, half), 1e-8) == [
+            ("complete bound", half),
+            ("sparse bound", half),
+        ]
+
+    def test_slack_is_relative_to_the_bound(self):
+        report = with_bounds(scaled_star(1.0), 1e6)
+        exact = dataclasses.replace(report, exact_norm_squared=1e6 * (1 + 2e-9))
+        assert exceeded_bounds(exact, 1e-8) == []
+        exact = dataclasses.replace(report, exact_norm_squared=1e6 * (1 + 2e-8))
+        assert [name for name, _ in exceeded_bounds(exact, 1e-8)] == [
+            "complete bound", "sparse bound",
+        ]
+
+    @pytest.mark.parametrize("k", range(-30, 31))
+    def test_decision_invariant_under_power_of_two_scaling(self, k):
+        report = scaled_star(2.0 ** k)
+        exact = report.exact_norm_squared
+        assert exceeded_bounds(report, 1e-8) == []
+        # bounds below exact by more, and by less, than the relative slack
+        for ratio, flagged in ((0.5, True), (1 / (1 + 2e-8), True), (1 / (1 + 5e-9), False)):
+            decision = exceeded_bounds(with_bounds(report, exact * ratio), 1e-8)
+            assert bool(decision) is flagged, (ratio, decision)

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from oracles import brute_phi_breakdown, count_pairs_at_least
-from tensorbound import cli, save_instance
+from tensorbound import TensorSumInstance, cli, save_instance
+from tensorbound.demos import build_demo
 from test_bounds import small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
 
@@ -159,6 +160,23 @@ class TestBoundSelfCheck:
         err = capsys.readouterr().err
         assert "exceeds the sparse bound 12.5" in err
         assert "complete bound" not in err
+
+    def test_half_bounds_at_small_weights_are_reported(self, tmp_path, monkeypatch, capsys):
+        inst, graph = build_demo("star", 5)
+        path = tmp_path / "star-small.json"
+        save_instance(path, TensorSumInstance(inst.x, inst.y, inst.weights * 1e-5), graph)
+        real = cli.build_report
+
+        def halved(*args, **kwargs):
+            report = real(*args, **kwargs)
+            half = report.exact_norm_squared / 2
+            return dataclasses.replace(report, complete_bound=half, sparse_bound=half)
+
+        monkeypatch.setattr(cli, "build_report", halved)
+        assert cli.main(["bound", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the complete bound" in err
+        assert "exceeds the sparse bound" in err
 
 
 class TestExact:

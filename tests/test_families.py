@@ -77,6 +77,93 @@ class TestValidate:
         assert not cert.is_unitary_involution
 
 
+OPERATOR_KINDS = ("hermitian", "non_hermitian", "scaled_above_one", "involution")
+
+
+def draw_operator(rng, kind, dim):
+    """One d x d operator of the given kind, from a numpy Generator."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "non_hermitian":
+        return g
+    if kind == "involution":
+        q, _ = np.linalg.qr(g)
+        a = (q * rng.choice([-1.0, 1.0], dim)) @ q.conj().T
+        return (a + a.conj().T) / 2
+    h = (g + g.conj().T) / 2
+    top = np.abs(np.linalg.eigvalsh(h)).max()
+    scale = rng.uniform(1.01, 3.0) if kind == "scaled_above_one" else rng.uniform(0.0, 1.0)
+    return h * (scale / top) if top > 0 else h
+
+
+@st.composite
+def operator_stacks(draw):
+    """(kinds, stack): up to 6 operators of dimension 1..6, of mixed kinds."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    kinds = draw(st.lists(st.sampled_from(OPERATOR_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(seeds))
+    return kinds, np.stack([draw_operator(rng, kind, dim) for kind in kinds])
+
+
+class TestValidateStack:
+    @given(operator_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_each_entry_matches_the_single_matrix_certificate(self, case):
+        kinds, stack = case
+        cert = validate(stack)
+        assert cert.norm.shape == (len(kinds),)
+        for k, (kind, a) in enumerate(zip(kinds, stack)):
+            single = validate(a)
+            assert cert.is_hermitian[k] == single.is_hermitian == (kind != "non_hermitian")
+            assert cert.is_contraction[k] == single.is_contraction
+            assert cert.is_unitary_involution[k] == single.is_unitary_involution
+            # the same arithmetic as spectral_norm, to the last bit
+            assert cert.norm[k] == single.norm == spectral_norm(a)
+            if kind == "involution":
+                assert cert.is_unitary_involution[k]
+            if kind == "scaled_above_one":
+                assert not cert.is_contraction[k]
+            if kind != "non_hermitian":
+                squared_defect = spectral_norm(a @ a - np.eye(a.shape[0]))
+                assert abs(cert.involution_defect[k] - squared_defect) <= 1e-12
+
+    def test_stack_spanning_several_batches(self):
+        # 96 x 96 operators go through linalg.batches 7 at a time
+        rng = np.random.default_rng(5)
+        kinds = OPERATOR_KINDS * 3
+        stack = np.stack([draw_operator(rng, kind, 96) for kind in kinds])
+        cert = validate(stack)
+        for k, a in enumerate(stack):
+            single = validate(a)
+            assert cert.is_hermitian[k] == single.is_hermitian == (kinds[k] != "non_hermitian")
+            assert cert.is_contraction[k] == single.is_contraction
+            assert cert.is_unitary_involution[k] == single.is_unitary_involution
+            assert cert.norm[k] == single.norm == spectral_norm(a)
+            assert cert.hermiticity_defect[k] == pytest.approx(single.hermiticity_defect, rel=1e-13)
+
+    def test_single_matrix_gives_python_scalars(self):
+        cert = validate(pauli("z"))
+        assert type(cert.is_hermitian) is bool and type(cert.is_unitary_involution) is bool
+        assert type(cert.norm) is float and type(cert.involution_defect) is float
+
+    def test_involution_defect_reads_the_squared_singular_values(self):
+        # diag(1, 0.5): a* a - I = diag(0, -0.75)
+        cert = validate(np.diag([1.0, 0.5]))
+        assert cert.involution_defect == 0.75
+        assert not cert.is_unitary_involution
+
+    def test_empty_stack(self):
+        cert = validate(np.zeros((0, 3, 3), dtype=complex))
+        assert cert.norm.shape == cert.is_hermitian.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [np.zeros((2, 2, 3)), np.zeros((1, 0, 0)), np.full((1, 2, 2), np.nan)],
+    )
+    def test_rejects_malformed_stacks(self, stack):
+        with pytest.raises(ValueError, match="finite square"):
+            validate(stack)
+
+
 class TestCliffordGenerators:
     def test_single_generator(self):
         (g,) = clifford_generators(1)

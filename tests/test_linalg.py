@@ -14,6 +14,7 @@ from tensorbound import (
     pauli,
     spectral_norm,
 )
+from tensorbound.linalg import BATCH_ENTRIES, batches, frobenius_norms
 
 I2 = np.eye(2, dtype=complex)
 SX = pauli("x")
@@ -45,6 +46,13 @@ class TestAsOperator:
         with pytest.raises(ValueError, match="finite"):
             as_operator(np.array([[1j * np.inf, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("entry", [complex(1, np.inf), complex(1, -np.inf), complex(0, np.nan)])
+    def test_rejects_non_finite_imaginary_part_alone(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            as_operator(np.array([[entry, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="finite"):
+            as_operator([[1, 0], [0, entry]])
+
 
 class TestKron:
     def test_identity(self):
@@ -68,6 +76,28 @@ class TestKron:
             for j in range(2):
                 block = k[i * 3 : (i + 1) * 3, j * 3 : (j + 1) * 3]
                 assert np.array_equal(block, a[i, j] * b)
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_numpy_kron(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_matrix(rng, int(rng.integers(1, 6)))
+        b = random_matrix(rng, int(rng.integers(1, 6)))
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    def test_scalars_and_lists(self):
+        assert np.array_equal(kron([[2j]], [[3.0]]), np.array([[6j]]))
+        a = [[1, 2j], [-3, 0.5]]
+        b = [[0, 1], [1j, -1]]
+        assert np.array_equal(kron(a, b), np.kron(np.array(a, complex), np.array(b, complex)))
+        assert kron(a, b).dtype == complex
+
+    def test_dimension_cap_message(self):
+        with pytest.raises(DimensionCapError) as err:
+            kron(np.eye(3), np.eye(2), dim_cap=5)
+        assert str(err.value) == (
+            "tensor product dimension 3*2 = 6 exceeds the cap 5; raise dim_cap to force assembly"
+        )
 
     def test_dimension_cap(self):
         a = np.eye(64, dtype=complex)
@@ -211,6 +241,31 @@ class TestHermitianEig:
             abs(summary.lambda_min), abs(summary.lambda_max)
         )
         assert len(summary.eigenvalues) == a.shape[0]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("count, dim", [(0, 3), (1, 3), (12, 3), (12, 96), (7, 256), (5000, 4)])
+    def test_cover_the_stack_in_order_within_the_budget(self, count, dim):
+        parts = batches(count, dim)
+        covered = [i for part in parts for i in range(count)[part]]
+        assert covered == list(range(count))
+        sizes = [len(range(count)[part]) for part in parts]
+        assert all(size * dim * dim <= BATCH_ENTRIES for size in sizes if size > 1)
+        assert len(parts) == max(1, -(-count // max(1, BATCH_ENTRIES // dim ** 2)))
+
+
+class TestFrobeniusNorms:
+    @given(seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_numpy_per_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 7))
+        stack = np.stack([random_matrix(rng, dim) for _ in range(int(rng.integers(1, 5)))])
+        expected = [np.linalg.norm(a) for a in stack]
+        assert frobenius_norms(stack) == pytest.approx(expected, rel=1e-14)
+
+    def test_empty_stack(self):
+        assert frobenius_norms(np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
 
 
 class TestSpectralNorm:
