@@ -56,7 +56,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     graph_constant,
-    non_edges,
     random_graph_min_degree_one,
     star_graph,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "kron",
     "lanczos_extremes",
     "load_instance",
-    "non_edges",
     "pauli",
     "phi_table",
     "phi_threshold_certificate",

@@ -219,7 +219,7 @@ def weighted_pair_sum(phi: PhiTable, weights: np.ndarray) -> float:
 def weighted_edge_sum(phi: PhiTable, weights: np.ndarray, g: InteractionGraph) -> float:
     """sum over graph edges of |c_i c_j| phi_ij, edges in sorted order."""
     terms = _pair_weights(weights) * phi.values
-    return _sum_in_order(terms[np.triu(g.adjacency_matrix()) > 0])
+    return _sum_in_order(terms[np.triu(g.adjacency) > 0])
 
 
 def _sum_c_squared(inst: TensorSumInstance) -> float:
@@ -285,8 +285,7 @@ def check_domination(
     m = inst.m
     w = _pair_weights(inst.weights) if weighted else np.ones((m, m))
     terms = w * phi.values
-    adj = g.adjacency_matrix()
-    degree = adj.sum(axis=1)
+    adj, degree = g.adjacency, g.degrees
     # each row summed left to right over the neighbors in ascending order
     neighbor_sum = np.cumsum(terms * adj, axis=1)[:, -1]
     average = np.divide(neighbor_sum, degree, out=np.zeros(m), where=degree > 0)

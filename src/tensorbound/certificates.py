@@ -114,7 +114,7 @@ def counting_certificate(
     same rule with target excess/C(G) and caps 4|c_i c_j| over the
     edges, since the graph bound is stated in phi and phi_ij <= 4.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"threshold must be positive, got {t}")
     w = np.abs(_as_weights(weights))
     excess = excess_mass(beta, w)
@@ -127,7 +127,7 @@ def counting_certificate(
             raise ValueError(f"graph has {g.m} vertices but there are {w.size} weights")
         c_of_g = graph_constant(g)
         edges_raw = excess / (c_of_g * t)
-        edge_caps = 4.0 * products[np.triu(g.adjacency_matrix()) > 0]
+        edge_caps = 4.0 * products[np.triu(g.adjacency) > 0]
         edges = _fewest_heavy(excess / c_of_g, edge_caps, t, slack)
     pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
     return CountingBound(
@@ -164,9 +164,9 @@ def phi_threshold_certificate(
 ) -> PhiThresholdBound:
     """Certified minimum number of pairs with phi_ij >= t_prime, for
     weight vectors bounded by c_max in absolute value."""
-    if t_prime <= 0:
+    if not t_prime > 0:
         raise ValueError(f"phi threshold must be positive, got {t_prime}")
-    if c_max <= 0:
+    if not c_max > 0:
         raise ValueError(f"c_max must be positive, got {c_max}")
     w = _as_weights(weights)
     too_big = [i for i, c in enumerate(w) if abs(c) > c_max]

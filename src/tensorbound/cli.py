@@ -115,46 +115,25 @@ def domination_text(rep: DominationReport) -> str:
     return "\n".join(lines)
 
 
+# BoundReport's scalar fields in declaration order: the CSV header and the
+# text rows (text skips None values and adds exact_norm).
+BOUND_CSV_FIELDS = tuple(
+    f.name for f in fields(BoundReport) if f.name not in ("domination", "provenance")
+)
+
+
 def bound_report_text(rep: BoundReport) -> str:
-    items = [
-        ("m", rep.m),
-        ("dim_h", rep.dim_h),
-        ("dim_k", rep.dim_k),
-        ("sum_c_squared", rep.sum_c_squared),
-        ("total_phi_sum", rep.total_phi_sum),
-        ("baseline_bound", rep.baseline_bound),
-        ("complete_bound", rep.complete_bound),
-    ]
-    if rep.graph_constant is not None:
-        items.append(("graph_constant", rep.graph_constant))
-    if rep.edge_phi_sum is not None:
-        items.append(("edge_phi_sum", rep.edge_phi_sum))
-    if rep.sparse_bound is not None:
-        items.append(("sparse_bound", rep.sparse_bound))
-    if rep.exact_norm_squared is not None:
-        items.append(("exact_norm_squared", rep.exact_norm_squared))
-        items.append(("exact_norm", rep.exact_norm_squared ** 0.5))
-        items.append(("exact_lambda_max", rep.exact_lambda_max))
+    items = []
+    for name in BOUND_CSV_FIELDS:
+        value = getattr(rep, name)
+        if value is not None:
+            items.append((name, value))
+            if name == "exact_norm_squared":
+                items.append(("exact_norm", value ** 0.5))
     out = [_kv_lines(items)]
     if rep.domination is not None:
         out.append(domination_text(rep.domination))
     return "\n".join(out)
-
-
-BOUND_CSV_FIELDS = (
-    "m",
-    "dim_h",
-    "dim_k",
-    "sum_c_squared",
-    "total_phi_sum",
-    "baseline_bound",
-    "complete_bound",
-    "graph_constant",
-    "edge_phi_sum",
-    "sparse_bound",
-    "exact_norm_squared",
-    "exact_lambda_max",
-)
 
 
 def bound_report_csv(rep: BoundReport) -> str:
@@ -286,10 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=formats, default="text")
 
     def add_graph_opts(p):
-        p.add_argument(
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(
             "--graph", metavar="FILE", help="JSON graph file overriding the embedded graph"
         )
-        p.add_argument(
+        group.add_argument(
             "--no-graph", action="store_true", help="ignore any embedded graph"
         )
 
@@ -355,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_graph(args, parser, embedded: InteractionGraph | None, m: int):
-    if args.graph and args.no_graph:
-        parser.error("--graph and --no-graph are mutually exclusive")
+def _resolve_graph(args, embedded: InteractionGraph | None, m: int):
     if args.no_graph:
         return None
     if args.graph:
@@ -371,7 +349,7 @@ def _resolve_graph(args, parser, embedded: InteractionGraph | None, m: int):
 
 def cmd_bound(args, parser) -> int:
     inst, embedded = load_instance(args.instance)
-    graph = _resolve_graph(args, parser, embedded, inst.m)
+    graph = _resolve_graph(args, embedded, inst.m)
     report = build_report(inst, graph, dim_cap=args.dim_cap)
 
     if args.output == "json":
@@ -417,7 +395,7 @@ def cmd_exact(args, parser) -> int:
 
 def cmd_check_domination(args, parser) -> int:
     inst, embedded = load_instance(args.instance)
-    graph = _resolve_graph(args, parser, embedded, inst.m)
+    graph = _resolve_graph(args, embedded, inst.m)
     if graph is None:
         parser.error("check-domination needs a graph (embedded or --graph FILE)")
     report = check_domination(inst, graph, weighted=not args.unweighted)
@@ -435,23 +413,17 @@ def cmd_certify(args, parser) -> int:
         parser.error("--phi-threshold requires --c-max")
 
     inst = None
-    graph = None
     if args.instance is not None:
         inst, embedded = load_instance(args.instance)
-        graph = _resolve_graph(args, parser, embedded, inst.m)
-        if args.beta is None:
-            beta = extreme_spectrum(inst, dim_cap=args.dim_cap).lambda_max
-            beta_source = "computed"
-        else:
-            beta = args.beta
-            beta_source = "supplied"
+        graph = _resolve_graph(args, embedded, inst.m)
     else:
         if args.beta is None:
             parser.error("--beta is required with --weights")
-        if args.no_graph:
-            graph = None
-        elif args.graph:
-            graph = load_graph(args.graph, len(args.weights))
+        graph = _resolve_graph(args, None, len(args.weights))
+    if args.beta is None:
+        beta = extreme_spectrum(inst, dim_cap=args.dim_cap).lambda_max
+        beta_source = "computed"
+    else:
         beta = args.beta
         beta_source = "supplied"
 

@@ -7,6 +7,7 @@ immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,15 +21,17 @@ class IsolatedVertexError(ValueError):
 class InteractionGraph:
     """Simple undirected graph on vertices 1..m.
 
-    Edges are stored as a sorted tuple of (i, j) pairs with i < j;
-    adjacency sets give O(1) membership.
+    Edges are stored as a sorted tuple of (i, j) pairs with i < j.
+    ``adjacency`` is the read-only symmetric (m, m) 0/1 float matrix,
+    0-based (1.0 where an edge joins i+1 and j+1, zero diagonal), and
+    ``degrees`` its row sums; both are built once here and are the only
+    array form of the graph.
     """
 
     m: int
     edges: tuple[tuple[int, int], ...]
-    _adjacency: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, m: int, edges=()):
         if m < 1:
@@ -36,6 +39,10 @@ class InteractionGraph:
         normalized = set()
         for pair in edges:
             i, j = pair
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise ValueError(f"edge ({i},{j}): endpoints must be integers") from None
             if i == j:
                 raise ValueError(f"self-loop at vertex {i} is not allowed")
             if not (1 <= i <= m and 1 <= j <= m):
@@ -44,42 +51,21 @@ class InteractionGraph:
             if key in normalized:
                 raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
             normalized.add(key)
-        adj = [set() for _ in range(m + 1)]
-        for i, j in normalized:
-            adj[i].add(j)
-            adj[j].add(i)
+        adjacency = np.zeros((m, m))
+        if normalized:
+            ends = np.array(list(normalized)) - 1
+            adjacency[ends[:, 0], ends[:, 1]] = 1.0
+            adjacency[ends[:, 1], ends[:, 0]] = 1.0
+        degrees = adjacency.sum(axis=1)
+        adjacency.flags.writeable = False
+        degrees.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        object.__setattr__(
-            self, "_adjacency", tuple(frozenset(s) for s in adj)
-        )
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        if not 1 <= i <= self.m:
-            raise ValueError(f"vertex {i} out of range for m={self.m}")
-        return self._adjacency[i]
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "degrees", degrees)
 
     def min_degree(self) -> int:
-        return min(self.degree(i) for i in range(1, self.m + 1))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbors(i)
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.m + 1) if self.degree(i) == 0)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Symmetric (m, m) array, 0-based: 1.0 where an edge joins i+1
-        and j+1, 0.0 elsewhere (the diagonal included)."""
-        adj = np.zeros((self.m, self.m))
-        if self.edges:
-            ends = np.asarray(self.edges) - 1
-            adj[ends[:, 0], ends[:, 1]] = 1.0
-            adj[ends[:, 1], ends[:, 0]] = 1.0
-        return adj
+        return int(self.degrees.min())
 
 
 def complete_graph(m: int) -> InteractionGraph:
@@ -109,22 +95,12 @@ def graph_constant(g: InteractionGraph) -> float:
     """Connectivity factor 2(m-1)/delta - 1; equals 1 on complete graphs."""
     delta = g.min_degree()
     if delta == 0:
-        bad = g.isolated_vertices()
+        isolated = int(np.argmin(g.degrees)) + 1
         raise IsolatedVertexError(
-            f"graph constant undefined: vertex {bad[0]} is isolated "
+            f"graph constant undefined: vertex {isolated} is isolated "
             f"(minimum degree must be >= 1)"
         )
     return 2.0 * (g.m - 1) / delta - 1.0
-
-
-def non_edges(g: InteractionGraph) -> tuple[tuple[int, int], ...]:
-    """Complement of the edge set among all i < j pairs, lexicographic."""
-    return tuple(
-        (i, j)
-        for i in range(1, g.m + 1)
-        for j in range(i + 1, g.m + 1)
-        if not g.has_edge(i, j)
-    )
 
 
 def random_graph_min_degree_one(m: int, rng: np.random.Generator) -> InteractionGraph:

@@ -161,6 +161,14 @@ class TestCounting:
         with pytest.raises(ValueError, match="positive"):
             counting_certificate(2.0, [1, 1], -1.0)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            counting_certificate(2.5, [1, 1, 1], math.nan)
+
+    def test_infinite_threshold_certifies_nothing(self):
+        bound = counting_certificate(2.5, [1, 1, 1], math.inf, star_graph(3))
+        assert (bound.pairs, bound.edges) == (0, 0)
+
     def test_monotone_in_threshold(self):
         weights = [1.0, 1.0, 1.0]
         previous = None
@@ -215,6 +223,12 @@ class TestPhiThreshold:
     def test_rejects_oversized_weights(self):
         with pytest.raises(ValueError, match="c_max"):
             phi_threshold_certificate(2.0, [1.0, 1.5], 1.0, 1.0)
+
+    def test_rejects_nan_phi_threshold_and_c_max(self):
+        with pytest.raises(ValueError, match="phi threshold must be positive, got nan"):
+            phi_threshold_certificate(2.5, [1, 1, 1], math.nan, 1.0)
+        with pytest.raises(ValueError, match="c_max must be positive, got nan"):
+            phi_threshold_certificate(2.5, [1, 1, 1], 0.5, math.nan)
 
     def test_effective_threshold(self):
         bound = phi_threshold_certificate(3.0, [0.5, 0.5, 0.5], 1.0, 0.5)

@@ -302,6 +302,17 @@ class TestCertify:
         assert proc.returncode == 1
         assert "positive" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("-t", "nan"), ("--phi-threshold", "0.5", "--c-max", "nan"),
+         ("--phi-threshold", "nan", "--c-max", "1")],
+    )
+    def test_nan_threshold_exits_one(self, flags):
+        proc = run_cli("certify", "--weights", "1,1,1", "--beta", "2.5", *flags)
+        assert proc.returncode == 1
+        assert "must be positive, got nan" in proc.stderr
+        assert proc.stdout == ""
+
     def test_usage_errors_exit_two(self, demo_dir):
         assert run_cli("certify", "--beta", "2").returncode == 2
         assert (
@@ -331,6 +342,15 @@ class TestCertify:
         payload = json.loads(proc.stdout)
         assert payload["domination"] == "asserted, not verified"
         assert payload["graph_constant"] == 3.0
+
+    def test_graph_and_no_graph_conflict_on_both_paths(self, demo_dir, tmp_path):
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps({"edges": [[0, 1], [1, 2]]}))
+        both = ("--graph", str(graph_file), "--no-graph")
+        for source in (("--weights", "1,1,1"), (str(demo_dir / "counterexample.json"),)):
+            proc = run_cli("certify", *source, "--beta", "2.5", *both)
+            assert proc.returncode == 2
+            assert "not allowed with argument" in proc.stderr
 
     def test_instance_with_violating_graph_exits_one(self, demo_dir):
         proc = run_cli(
