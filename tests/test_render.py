@@ -6,7 +6,7 @@ and with ``--no-graph``) on the instance file the demo writes. The files
 are named ``<golden stem>.<case>.<txt|csv>``; they are not ``*.json`` so
 that nothing globbing the report goldens picks them up.
 
-The pinned values come from this machine's LAPACK; CSV cells carry full
+The pinned values depend on the LAPACK build numpy uses; CSV cells carry full
 precision. To regenerate after an intended output change, run
 ``PYTHONPATH=src:tests python tests/test_render.py``.
 """
