@@ -37,9 +37,6 @@ from .certificates import (
     CountingBound,
     PhiThresholdBound,
     build_certificate_report,
-    counting_certificate,
-    excess_mass,
-    phi_threshold_certificate,
 )
 from .families import (
     ContractionCertificate,
@@ -118,10 +115,8 @@ __all__ = [
     "commutator",
     "complete_bound",
     "complete_graph",
-    "counting_certificate",
     "cycle_graph",
     "exact_reference",
-    "excess_mass",
     "extreme_spectrum",
     "graph_constant",
     "hermitian_eig",
@@ -132,7 +127,6 @@ __all__ = [
     "load_instance",
     "pauli",
     "phi_table",
-    "phi_threshold_certificate",
     "random_graph_min_degree_one",
     "random_operator",
     "require_domination",

@@ -9,13 +9,13 @@ beta^2 enters.
 
 All counts are conservative lower bounds and never negative. A count is
 the fewest heavy pairs that can carry the forced mass when no pair can
-carry more than its cap (see ``counting_certificate``).
+carry more than its cap (see ``build_certificate_report``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,19 +39,6 @@ def _as_weights(weights) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite reals")
     return w
-
-
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValueError(f"observed value must be finite, got {beta}")
-    return beta
-
-
-def excess_mass(beta: float, weights) -> float:
-    """max(0, beta^2 - sum c_i^2): the interaction mass beta forces."""
-    w = _as_weights(weights)
-    return max(0.0, _check_beta(beta) ** 2 - float(np.sum(w ** 2)))
 
 
 def _fewest_heavy(target: float, caps: np.ndarray, t: float, slack: float) -> int:
@@ -96,49 +83,6 @@ class CountingBound:
     edges: int | None = None
 
 
-def counting_certificate(
-    beta: float, weights, t: float, g: InteractionGraph | None = None
-) -> CountingBound:
-    """Certified minimum number of pairs with |c_i c_j| phi_ij >= t.
-
-    Write X_i = x_i (x) y_i. Then B^2 = sum c_i^2 X_i^2 + sum_{i<j}
-    c_i c_j {X_i, X_j}, and ||{X_i, X_j}|| <= min(2, phi_ij). So the
-    excess is at most the sum over pairs of |c_i c_j| min(2, phi_ij): a
-    heavy pair adds at most its cap 2|c_i c_j|, a light pair less than t.
-    The count is the fewest heavy pairs for which that sum can reach the
-    excess. When beta exceeds sum |c_i| (beyond roundoff), no instance
-    with these weights reaches it, and the count is every pair.
-
-    With a graph (minimum degree >= 1, edge domination assumed or
-    verified by the caller), also bounds the number of such edges: the
-    same rule with target excess/C(G) and caps 4|c_i c_j| over the
-    edges, since the graph bound is stated in phi and phi_ij <= 4.
-    """
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, got {t}")
-    w = np.abs(_as_weights(weights))
-    excess = excess_mass(beta, w)
-    slack = EQUALITY_GUARD * (float(beta) ** 2 + float(np.sum(w)) ** 2)
-    products = np.outer(w, w)
-    edges_raw = None
-    edges = None
-    if g is not None:
-        if g.m != w.size:
-            raise ValueError(f"graph has {g.m} vertices but there are {w.size} weights")
-        c_of_g = graph_constant(g)
-        edges_raw = excess / (c_of_g * t)
-        edge_caps = 4.0 * products[np.triu(g.adjacency) > 0]
-        edges = _fewest_heavy(excess / c_of_g, edge_caps, t, slack)
-    pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
-    return CountingBound(
-        threshold=float(t),
-        pairs_raw=excess / t,
-        pairs=_fewest_heavy(excess, pair_caps, t, slack),
-        edges_raw=edges_raw,
-        edges=edges,
-    )
-
-
 @dataclass(frozen=True)
 class PhiThresholdBound:
     """Counting certificate restated for the unweighted magnitudes: given
@@ -153,38 +97,6 @@ class PhiThresholdBound:
     pairs: int
     edges_raw: float | None = None
     edges: int | None = None
-
-
-def phi_threshold_certificate(
-    beta: float,
-    weights,
-    t_prime: float,
-    c_max: float,
-    g: InteractionGraph | None = None,
-) -> PhiThresholdBound:
-    """Certified minimum number of pairs with phi_ij >= t_prime, for
-    weight vectors bounded by c_max in absolute value."""
-    if not t_prime > 0:
-        raise ValueError(f"phi threshold must be positive, got {t_prime}")
-    if not c_max > 0:
-        raise ValueError(f"c_max must be positive, got {c_max}")
-    w = _as_weights(weights)
-    too_big = [i for i, c in enumerate(w) if abs(c) > c_max]
-    if too_big:
-        raise ValueError(
-            f"|c| exceeds c_max = {c_max:.12g} at index "
-            f"{too_big[0] + 1} (|c| = {abs(w[too_big[0]]):.12g})"
-        )
-    counts = counting_certificate(beta, w, c_max ** 2 * t_prime, g)
-    return PhiThresholdBound(
-        phi_threshold=float(t_prime),
-        c_max=float(c_max),
-        effective_threshold=counts.threshold,
-        pairs_raw=counts.pairs_raw,
-        pairs=counts.pairs,
-        edges_raw=counts.edges_raw,
-        edges=counts.edges,
-    )
 
 
 @dataclass(frozen=True)
@@ -222,16 +134,30 @@ def build_certificate_report(
     c_max: float | None = None,
     beta_source: str = "supplied",
 ) -> CertificateReport:
-    """Assemble the full certificate report (aggregates, counting bounds,
-    and the bounded-coefficient variant when requested)."""
+    """Certify from one observed value ``beta``: the aggregates, one
+    ``CountingBound`` per threshold, and, with ``phi_threshold``, the
+    bounded-coefficient variant (which needs ``c_max``).
+
+    Counting: write X_i = x_i (x) y_i. Then B^2 = sum c_i^2 X_i^2 +
+    sum_{i<j} c_i c_j {X_i, X_j}, and ||{X_i, X_j}|| <= min(2, phi_ij).
+    So the excess beta^2 - sum c_i^2 is at most the sum over pairs of
+    |c_i c_j| min(2, phi_ij): a heavy pair adds at most its cap
+    2|c_i c_j|, a light pair less than t. The count is the fewest heavy
+    pairs for which that sum can reach the excess. When beta exceeds
+    sum |c_i| (beyond roundoff), no instance with these weights reaches
+    it, and the count is every pair. With a graph (minimum degree >= 1,
+    edge domination verified against ``instance`` or asserted by the
+    caller), the edges are counted by the same rule with target
+    excess/C(G) and caps 4|c_i c_j| over the edges, since the graph
+    bound is stated in phi and phi_ij <= 4.
+    """
     if (weights is None) == (instance is None):
         raise ValueError("provide exactly one of weights or instance")
-    if instance is not None:
-        w = instance.weights
-    else:
-        w = _as_weights(weights)
+    w = instance.weights if instance is not None else _as_weights(weights)
 
-    beta = _check_beta(beta)
+    beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError(f"observed value must be finite, got {beta}")
     sum_c_sq = float(np.sum(w ** 2))
     excess = max(0.0, beta ** 2 - sum_c_sq)
 
@@ -243,17 +169,53 @@ def build_certificate_report(
             require_domination(instance, g)
             domination = DOMINATION_VERIFIED
         else:
+            if g.m != w.size:
+                raise ValueError(f"graph has {g.m} vertices but there are {w.size} weights")
             domination = DOMINATION_ASSERTED
         c_of_g = graph_constant(g)
         aggregate_edges = excess / c_of_g
 
-    counting = tuple(counting_certificate(beta, w, t, g) for t in thresholds)
+    def count(t: float) -> CountingBound:
+        if not t > 0:
+            raise ValueError(f"threshold must be positive, got {t}")
+        a = np.abs(w)
+        slack = EQUALITY_GUARD * (beta ** 2 + float(np.sum(a)) ** 2)
+        products = np.outer(a, a)
+        edges_raw = None
+        edges = None
+        if g is not None:
+            edges_raw = excess / (c_of_g * t)
+            edge_caps = 4.0 * products[np.triu(g.adjacency) > 0]
+            edges = _fewest_heavy(excess / c_of_g, edge_caps, t, slack)
+        pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
+        return CountingBound(
+            threshold=float(t),
+            pairs_raw=excess / t,
+            pairs=_fewest_heavy(excess, pair_caps, t, slack),
+            edges_raw=edges_raw,
+            edges=edges,
+        )
+
+    counting = tuple(count(t) for t in thresholds)
 
     variant = None
     if phi_threshold is not None:
         if c_max is None:
             raise ValueError("phi_threshold requires c_max")
-        variant = phi_threshold_certificate(beta, w, phi_threshold, c_max, g)
+        if not phi_threshold > 0:
+            raise ValueError(f"phi threshold must be positive, got {phi_threshold}")
+        if not c_max > 0:
+            raise ValueError(f"c_max must be positive, got {c_max}")
+        too_big = np.flatnonzero(np.abs(w) > c_max)
+        if too_big.size:
+            raise ValueError(
+                f"|c| exceeds c_max = {c_max:.12g} at index "
+                f"{too_big[0] + 1} (|c| = {abs(w[too_big[0]]):.12g})"
+            )
+        # PhiThresholdBound's fields after c_max are CountingBound's, in order.
+        variant = PhiThresholdBound(
+            float(phi_threshold), float(c_max), *astuple(count(c_max ** 2 * phi_threshold))
+        )
 
     return CertificateReport(
         beta=beta,

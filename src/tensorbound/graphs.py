@@ -40,6 +40,8 @@ class InteractionGraph:
         for pair in edges:
             i, j = pair
             try:
+                if bool in (type(i), type(j)):
+                    raise TypeError
                 i, j = operator.index(i), operator.index(j)
             except TypeError:
                 raise ValueError(f"edge ({i},{j}): endpoints must be integers") from None

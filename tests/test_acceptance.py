@@ -18,13 +18,13 @@ from tensorbound import (
     DominationError,
     SweepConfig,
     TensorSumInstance,
+    build_certificate_report,
     build_report,
     check_domination,
     chsh_identity_residual,
     clifford_generators,
     complete_bound,
     complete_graph,
-    counting_certificate,
     exact_reference,
     graph_constant,
     hermitian_eig,
@@ -192,8 +192,10 @@ def test_criterion_09_certificate_soundness():
         edge_graph = None
         if graph is not None and check_domination(inst, graph).satisfied:
             edge_graph = graph
-        for t in t_grid:
-            bound = counting_certificate(beta, inst.weights, t, edge_graph)
+        report = build_certificate_report(
+            beta, weights=inst.weights, g=edge_graph, thresholds=t_grid
+        )
+        for t, bound in zip(t_grid, report.counting):
             # count against t - 1e-9 so boundary roundoff in the oracle's
             # phi values (order 1e-15) cannot masquerade as unsoundness
             actual_pairs = count_pairs_at_least(brute, inst.weights, t - 1e-9)
@@ -223,7 +225,9 @@ def test_criterion_09_certificate_soundness():
     # pinned equality point: Heisenberg with beta = 3, t = 2
     ops = [SX, SY, SZ]
     heisenberg = TensorSumInstance(ops, ops)
-    bound = counting_certificate(3.0, heisenberg.weights, 2.0)
+    (bound,) = build_certificate_report(
+        3.0, weights=heisenberg.weights, thresholds=(2.0,)
+    ).counting
     assert bound.pairs == 3
     actual = count_pairs_at_least(
         brute_phi_breakdown(heisenberg.x, heisenberg.y), heisenberg.weights, 2.0

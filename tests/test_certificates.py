@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_phi_breakdown,
@@ -17,13 +19,11 @@ from tensorbound import (
     check_domination,
     clifford_generators,
     complete_graph,
-    counting_certificate,
     exact_reference,
-    excess_mass,
     pauli,
-    phi_threshold_certificate,
     star_graph,
 )
+from tensorbound import certificates
 from tensorbound.graphs import InteractionGraph
 from test_bounds import chsh_instance, counterexample_instance, random_instance
 
@@ -42,6 +42,22 @@ def scalar_instance(m, a):
     return TensorSumInstance([op] * m, [op] * m)
 
 
+def report_excess(beta, weights):
+    return build_certificate_report(beta, weights=weights).excess
+
+
+def report_count(beta, weights, t, g=None):
+    """The ``CountingBound`` of a report with the one threshold ``t``."""
+    (bound,) = build_certificate_report(beta, weights=weights, g=g, thresholds=(t,)).counting
+    return bound
+
+
+def report_variant(beta, weights, t_prime, c_max, g=None):
+    return build_certificate_report(
+        beta, weights=weights, g=g, phi_threshold=t_prime, c_max=c_max
+    ).phi_threshold_variant
+
+
 def oracle_norm(inst):
     """||B|| from the oracle's SVD of the assembled sum."""
     b = sum(c * np.kron(x, y) for c, x, y in zip(inst.weights, inst.x, inst.y))
@@ -51,19 +67,19 @@ def oracle_norm(inst):
 class TestExcess:
     def test_chsh_tsirelson_value(self):
         beta = 2 * math.sqrt(2)
-        assert excess_mass(beta, [1, 1, 1, 1]) == pytest.approx(4.0, abs=1e-12)
+        assert report_excess(beta, [1, 1, 1, 1]) == pytest.approx(4.0, abs=1e-12)
 
     def test_trivial_when_beta_small(self):
-        assert excess_mass(1.0, [1, 1]) == 0.0
+        assert report_excess(1.0, [1, 1]) == 0.0
 
     def test_negative_beta_certifies_through_square(self):
-        assert excess_mass(-2 * math.sqrt(2), [1, 1, 1, 1]) == pytest.approx(
+        assert report_excess(-2 * math.sqrt(2), [1, 1, 1, 1]) == pytest.approx(
             4.0, abs=1e-12
         )
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            excess_mass(float("nan"), [1, 1])
+            report_excess(float("nan"), [1, 1])
 
 
 class TestAggregate:
@@ -122,7 +138,7 @@ class TestCounting:
         inst = TensorSumInstance(gens, gens)
         assert exact_reference(inst).lambda_max == pytest.approx(2.0, abs=1e-12)
         # certify at the exact value: a beta one ulp below 2 certifies 0
-        bound = counting_certificate(2.0, inst.weights, 2.0)
+        bound = report_count(2.0, inst.weights, 2.0)
         assert bound.pairs == 1
         actual = count_pairs_at_least(
             brute_phi_breakdown(inst.x, inst.y), inst.weights, 2.0
@@ -130,7 +146,7 @@ class TestCounting:
         assert actual == 1
 
     def test_zero_when_beta_below_weights(self):
-        bound = counting_certificate(1.0, [1, 1], 0.5)
+        bound = report_count(1.0, [1, 1], 0.5)
         assert bound.pairs == 0
         assert bound.pairs_raw == 0.0
 
@@ -142,7 +158,7 @@ class TestCounting:
         t = 1.0
         graph = star_graph(m)
         beta = math.sqrt(5.0 + 7.0 * t)
-        bound = counting_certificate(beta, np.ones(m), t, graph)
+        bound = report_count(beta, np.ones(m), t, graph)
         assert bound.edges_raw == pytest.approx(1.0, abs=1e-12)
         assert bound.edges == 0
         witness = scalar_instance(m, math.sqrt(0.7))
@@ -153,34 +169,45 @@ class TestCounting:
 
     def test_rejects_graph_of_another_size(self):
         with pytest.raises(ValueError, match="4 vertices but there are 3 weights"):
-            counting_certificate(2.0, [1, 1, 1], 1.0, star_graph(4))
+            report_count(2.0, [1, 1, 1], 1.0, star_graph(4))
+        # the aggregates alone would take C(G) from the wrong graph too
+        with pytest.raises(ValueError, match="4 vertices but there are 3 weights"):
+            build_certificate_report(2.0, weights=[1, 1, 1], g=star_graph(4))
+
+    def test_edge_cap_is_four_products(self):
+        # excess 5.5 on the triangle: one edge at its cap 4|c_i c_j| plus
+        # two light edges (each < t = 1) can carry it, so one edge is
+        # certified; a cap of 2 would certify all three. This pins the
+        # stated rule's arithmetic, it is not a witness that needs phi > 2.
+        bound = report_count(math.sqrt(8.5), [1, 1, 1], 1.0, complete_graph(3))
+        assert (bound.pairs, bound.edges) == (3, 1)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError, match="positive"):
-            counting_certificate(2.0, [1, 1], 0.0)
+            report_count(2.0, [1, 1], 0.0)
         with pytest.raises(ValueError, match="positive"):
-            counting_certificate(2.0, [1, 1], -1.0)
+            report_count(2.0, [1, 1], -1.0)
 
     def test_rejects_nan_threshold(self):
         with pytest.raises(ValueError, match="threshold must be positive, got nan"):
-            counting_certificate(2.5, [1, 1, 1], math.nan)
+            report_count(2.5, [1, 1, 1], math.nan)
 
     def test_infinite_threshold_certifies_nothing(self):
-        bound = counting_certificate(2.5, [1, 1, 1], math.inf, star_graph(3))
+        bound = report_count(2.5, [1, 1, 1], math.inf, star_graph(3))
         assert (bound.pairs, bound.edges) == (0, 0)
 
     def test_monotone_in_threshold(self):
         weights = [1.0, 1.0, 1.0]
         previous = None
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            bound = counting_certificate(3.0, weights, t)
+            bound = report_count(3.0, weights, t)
             if previous is not None:
                 assert bound.pairs <= previous
             previous = bound.pairs
 
     def test_exact_integer_ratio_not_overcounted(self):
         # raw ratio lands exactly on an integer: ceiling must not round up
-        bound = counting_certificate(3.0, [1.0, 1.0, 1.0], 2.0)
+        bound = report_count(3.0, [1.0, 1.0, 1.0], 2.0)
         assert bound.pairs_raw == pytest.approx(3.0, abs=1e-12)
         assert bound.pairs == 3
 
@@ -189,7 +216,7 @@ class TestPhiThreshold:
     def test_chsh_counts_two_pairs(self):
         inst = chsh_instance()
         beta = 2 * math.sqrt(2)
-        bound = phi_threshold_certificate(beta, inst.weights, 2.0, 1.0)
+        bound = report_variant(beta, inst.weights, 2.0, 1.0)
         brute = brute_phi_breakdown(inst.x, inst.y)
         actual = sum(1 for phi in brute.values() if phi >= 2.0 - 1e-12)
         assert actual == 2
@@ -207,31 +234,31 @@ class TestPhiThreshold:
         # toward zero; no pair is forced, as four scalar terms with
         # a = 0.99 reach beta with every phi = 1.921 < 2
         beta = 2 * math.sqrt(2)
-        bound = phi_threshold_certificate(beta, [1, 1, 1, 1], 2.0, 100.0)
+        bound = report_variant(beta, [1, 1, 1, 1], 2.0, 100.0)
         assert bound.pairs_raw == pytest.approx(4.0 / 20000.0, rel=1e-12)
         assert bound.pairs == 0
         witness = scalar_instance(4, 0.99)
         assert oracle_norm(witness) >= beta
         witness_phi = brute_phi_breakdown(witness.x, witness.y)
         assert sum(1 for phi in witness_phi.values() if phi >= 2.0) == 0
-        tiny = phi_threshold_certificate(1.0, [1, 1], 2.0, 100.0)
+        tiny = report_variant(1.0, [1, 1], 2.0, 100.0)
         assert tiny.pairs == 0  # no excess at all
 
     def test_trivial_when_beta_small(self):
-        assert phi_threshold_certificate(1.0, [1, 1], 1.0, 1.0).pairs == 0
+        assert report_variant(1.0, [1, 1], 1.0, 1.0).pairs == 0
 
     def test_rejects_oversized_weights(self):
         with pytest.raises(ValueError, match="c_max"):
-            phi_threshold_certificate(2.0, [1.0, 1.5], 1.0, 1.0)
+            report_variant(2.0, [1.0, 1.5], 1.0, 1.0)
 
     def test_rejects_nan_phi_threshold_and_c_max(self):
         with pytest.raises(ValueError, match="phi threshold must be positive, got nan"):
-            phi_threshold_certificate(2.5, [1, 1, 1], math.nan, 1.0)
+            report_variant(2.5, [1, 1, 1], math.nan, 1.0)
         with pytest.raises(ValueError, match="c_max must be positive, got nan"):
-            phi_threshold_certificate(2.5, [1, 1, 1], 0.5, math.nan)
+            report_variant(2.5, [1, 1, 1], 0.5, math.nan)
 
     def test_effective_threshold(self):
-        bound = phi_threshold_certificate(3.0, [0.5, 0.5, 0.5], 1.0, 0.5)
+        bound = report_variant(3.0, [0.5, 0.5, 0.5], 1.0, 0.5)
         assert bound.effective_threshold == pytest.approx(0.25)
 
 
@@ -254,6 +281,63 @@ class TestReportBuilder:
     def test_phi_threshold_requires_c_max(self):
         with pytest.raises(ValueError, match="c_max"):
             build_certificate_report(2.0, weights=[1, 1], phi_threshold=1.0)
+
+    def test_weights_and_graph_constant_computed_once(self, monkeypatch):
+        calls = {"_as_weights": 0, "graph_constant": 0}
+        for name in calls:
+            original = getattr(certificates, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(certificates, name, counted)
+        report = build_certificate_report(
+            3.0, weights=[1, 1, 1, 1], g=star_graph(4), thresholds=(0.5, 1.0, 2.0),
+            phi_threshold=1.0, c_max=1.0,
+        )
+        assert len(report.counting) == 3
+        assert report.phi_threshold_variant is not None
+        assert calls == {"_as_weights": 1, "graph_constant": 1}
+
+
+class TestScaleInvariance:
+    """Scaling beta, the weights and c_max by s = 2^k scales the excess
+    and every cap by s^2, so with thresholds scaled by s^2 = 4^k every
+    count stays the same (powers of two keep the arithmetic exact)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=6
+        ),
+        signs=st.lists(st.booleans(), min_size=6, max_size=6),
+        beta_fraction=st.floats(min_value=0.0, max_value=1.2),
+        thresholds=st.lists(
+            st.floats(min_value=0.01, max_value=4.0), min_size=1, max_size=3
+        ),
+        phi_threshold=st.floats(min_value=0.01, max_value=4.0),
+        k=st.integers(min_value=-20, max_value=20),
+        complete=st.booleans(),
+    )
+    def test_counts_unchanged(
+        self, weights, signs, beta_fraction, thresholds, phi_threshold, k, complete
+    ):
+        w = np.array([-c if neg else c for c, neg in zip(weights, signs)])
+        m = w.size
+        graph = complete_graph(m) if complete else star_graph(m)
+        beta = beta_fraction * float(np.sum(np.abs(w)))
+
+        def counts(s):
+            report = build_certificate_report(
+                s * beta, weights=s * w, g=graph,
+                thresholds=[s * s * t for t in thresholds],
+                phi_threshold=phi_threshold, c_max=s * 1.0,
+            )
+            rows = (*report.counting, report.phi_threshold_variant)
+            return [(row.pairs, row.edges) for row in rows]
+
+        assert counts(2.0 ** k) == counts(1.0)
 
 
 class TestSoundness:
@@ -303,7 +387,7 @@ class TestSoundness:
         heisenberg = TensorSumInstance(ops, ops)
         for inst, t in ((two_gen, 2.0), (heisenberg, 2.0), (chsh_instance(), 2.0)):
             beta = exact_reference(inst).lambda_max
-            bound = counting_certificate(beta, inst.weights, t)
+            bound = report_count(beta, inst.weights, t)
             actual = count_pairs_at_least(
                 brute_phi_breakdown(inst.x, inst.y), inst.weights, t - 1e-12
             )
@@ -315,7 +399,7 @@ class TestSoundness:
         # is the one pair the oracle finds, not 20
         inst = TensorSumInstance([pauli("z"), pauli("x")], [pauli("z"), pauli("x")])
         beta = exact_reference(inst).lambda_max
-        bound = counting_certificate(beta, inst.weights, 0.1)
+        bound = report_count(beta, inst.weights, 0.1)
         actual = count_pairs_at_least(
             brute_phi_breakdown(inst.x, inst.y), inst.weights, 0.1
         )
@@ -329,7 +413,7 @@ class TestSoundness:
         # carrying 2 s^2 < t = 3 s^2; roundoff in the excess grows with
         # s^2, so the equality guard must scale with it
         for s in np.geomspace(1e-6, 1e8, 400):
-            assert counting_certificate(m * s, [s] * m, 3 * s * s).pairs == 0
+            assert report_count(m * s, [s] * m, 3 * s * s).pairs == 0
         s = 30.06
         witness = TensorSumInstance([np.eye(1)] * m, [np.eye(1)] * m, [s] * m)
         assert oracle_norm(witness) == pytest.approx(m * s, rel=1e-12)
@@ -346,7 +430,7 @@ class TestSoundness:
         graph = random_graph_min_degree_one(inst.m, rng)
         beta = exact_reference(inst).lambda_max
         for t in T_GRID:
-            bound = counting_certificate(beta, inst.weights, t, graph)
+            bound = report_count(beta, inst.weights, t, graph)
             assert bound.edges_raw == pytest.approx(
                 bound.pairs_raw / c_of(graph), rel=1e-12, abs=1e-15
             )

@@ -343,6 +343,19 @@ class TestCertify:
         assert payload["domination"] == "asserted, not verified"
         assert payload["graph_constant"] == 3.0
 
+    def test_edge_cap_four_products_line(self, tmp_path):
+        graph_file = tmp_path / "complete3.json"
+        graph_file.write_text(json.dumps({"edges": [[0, 1], [0, 2], [1, 2]]}))
+        proc = run_cli(
+            "certify", "--weights", "1,1,1", "--beta", repr(math.sqrt(8.5)),
+            "--graph", str(graph_file), "-t", "1",
+        )
+        assert proc.returncode == 0
+        assert (
+            "threshold 1: pairs >= 3 (excess/t 5.5), edges >= 1 (excess/(C(G) t) 5.5)"
+            in proc.stdout.splitlines()
+        )
+
     def test_graph_and_no_graph_conflict_on_both_paths(self, demo_dir, tmp_path):
         graph_file = tmp_path / "g.json"
         graph_file.write_text(json.dumps({"edges": [[0, 1], [1, 2]]}))

@@ -108,7 +108,7 @@ class TestEndpoints:
         _, loaded = load_instance(path)
         assert loaded == g
 
-    @pytest.mark.parametrize("edge", [(1.0, 2), (1, 2.5), (1, "2")])
+    @pytest.mark.parametrize("edge", [(1.0, 2), (1, 2.5), (1, "2"), (True, 2), (1, np.True_)])
     def test_rejects_non_integer_endpoint(self, edge):
         with pytest.raises(ValueError, match=r"edge \(.*\): endpoints must be integers"):
             InteractionGraph(3, [(1, 3), edge])

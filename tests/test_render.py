@@ -1,10 +1,13 @@
 """Byte-for-byte pins of the text and CSV renderings.
 
 For every golden demo, ``tests/golden/render`` holds the stdout of
-``demo`` (text) and of ``bound`` (text and CSV, with the embedded graph
-and with ``--no-graph``) on the instance file the demo writes. The files
-are named ``<golden stem>.<case>.<txt|csv>``; they are not ``*.json`` so
-that nothing globbing the report goldens picks them up.
+``demo`` (text), of ``bound`` (text and CSV, with the embedded graph
+and with ``--no-graph``) and of ``certify`` (computed beta in text and
+JSON, and a supplied beta with thresholds and the phi-threshold variant)
+on the instance file the demo writes. The files are named
+``<golden stem>.<case>.<txt|csv>``; they are not ``*.json`` (the JSON
+rendering is stored as ``.txt``) so that nothing globbing the report
+goldens picks them up.
 
 The pinned values depend on the LAPACK build numpy uses; CSV cells carry full
 precision. To regenerate after an intended output change, run
@@ -29,6 +32,13 @@ CASES = {
     "bound-csv": ("bound", ("--output", "csv"), "csv"),
     "bound-no-graph": ("bound", ("--no-graph",), "txt"),
     "bound-no-graph-csv": ("bound", ("--no-graph", "--output", "csv"), "csv"),
+    "certify": ("certify", (), "txt"),
+    "certify-json": ("certify", ("--output", "json"), "txt"),
+    "certify-counts": (
+        "certify",
+        ("--beta", "2.5", "-t", "0.5", "-t", "2", "--phi-threshold", "1", "--c-max", "1"),
+        "txt",
+    ),
 }
 
 
