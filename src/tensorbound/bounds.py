@@ -17,6 +17,7 @@ and error messages are 1-based to match the graph module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .families import validate
 from .graphs import InteractionGraph, graph_constant
 from .linalg import (
+    BATCH_ENTRIES,
     DEFAULT_DIM_CAP,
     LANCZOS_TOL,
     SpectralSummary,
@@ -350,14 +352,22 @@ def exact_reference(
 
     ``lambda_max`` is the largest state correlator sup_rho tr(rho B_c),
     attained at the top eigenvector; ``spectral_norm`` is ||B_c||.
+
+    B_c is filled in square tiles of x entries, each of at most
+    max(BATCH_ENTRIES, dim_k^2) entries: sum_i kron(x_i[r, s], y_i) * c_i,
+    summed from zeros in term order, so every entry is bitwise that of the
+    full-size sum. Peak memory is B_c plus LAPACK's copy, 2 n^2 * 16 bytes.
     """
-    total = inst.dim_h * inst.dim_k
-    b = np.zeros((total, total), dtype=complex)
-    for c, xi, yi in zip(inst.weights, inst.x, inst.y):
-        term = kron(xi, yi, dim_cap=dim_cap)
-        term *= c  # in place: one full-size temporary per term, not two
-        b += term
-    del term  # not held through the eigensolver, which copies b
+    dh, dk = inst.dim_h, inst.dim_k
+    check_dim_cap(dh, dk, dim_cap)
+    size = min(dh, max(1, int(BATCH_ENTRIES**0.5) // dk))  # one tile up to n = 256
+    tiles = [slice(i, i + size) for i in [*range(0, dh - size, size), dh - size]]
+    b = np.empty((dh * dk, dh * dk), dtype=complex)
+    for r, s in itertools.product(tiles, tiles):  # an overlapping last tile rewrites equal values
+        tile = np.zeros((size * dk, size * dk), dtype=complex)
+        for c, xi, yi in zip(inst.weights, inst.x, inst.y):
+            tile += kron(xi[r, s], yi, dim_cap=dim_cap) * c
+        b.reshape(dh, dk, dh, dk)[r, :, s, :] = tile.reshape(size, dk, size, dk)
     return hermitian_eig(b)
 
 

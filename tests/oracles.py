@@ -15,6 +15,16 @@ def svd_norm(a) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
 
 
+def dense_kron_sum(x_ops, y_ops, weights) -> np.ndarray:
+    """B = sum_i c_i x_i (x) y_i assembled in full: one np.kron per term,
+    scaled after the product and added to a zero matrix in term order."""
+    n = len(x_ops[0]) * len(y_ops[0])
+    b = np.zeros((n, n), dtype=complex)
+    for c, x, y in zip(weights, x_ops, y_ops):
+        b += np.kron(x, y) * c
+    return b
+
+
 def eig2x2_hermitian(a) -> tuple[float, float]:
     """Closed-form eigenvalues (ascending) of a 2x2 Hermitian matrix."""
     a = np.asarray(a, dtype=complex)

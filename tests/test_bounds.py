@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_phi_breakdown,
+    dense_kron_sum,
     loop_domination,
     sequential_edge_sum,
     sequential_pair_sum,
@@ -78,6 +80,21 @@ def random_instance(seed, m=None, max_dim=4):
     weights = rng.uniform(-2, 2, m)
     return TensorSumInstance(
         [draw(dim_h) for _ in range(m)], [draw(dim_k) for _ in range(m)], weights
+    )
+
+
+def dense_instance(seed, dim_h, dim_k, weights):
+    """Random Hermitian contractions (scaled by their Frobenius norm), one
+    x and one y operator per weight."""
+    rng = np.random.default_rng(seed)
+
+    def draw(dim):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = a + a.conj().T
+        return h / np.linalg.norm(h)
+
+    return TensorSumInstance(
+        [draw(dim_h) for _ in weights], [draw(dim_k) for _ in weights], weights
     )
 
 
@@ -516,6 +533,44 @@ class TestExactReference:
         inst = TensorSumInstance([SZ], [SZ])
         with pytest.raises(DimensionCapError):
             exact_reference(inst, dim_cap=2)
+
+    # (dim_h, dim_k): tiles of 2 x entries with an overlapping last tile;
+    # tiles of 6 with an overlapping last tile; tiles of one x entry
+    # (dim_k above 256); one tile (n <= 256).
+    @pytest.mark.parametrize("dim_h, dim_k", [(7, 100), (13, 40), (2, 257), (4, 8)])
+    def test_eigenvalues_bitwise_equal_full_kron_sum(self, dim_h, dim_k):
+        weights = np.array([0.7, -1.3, 0.0, -0.25])
+        inst = dense_instance(5, dim_h, dim_k, weights)
+        expected = np.linalg.eigvalsh(dense_kron_sum(inst.x, inst.y, weights))
+        assert exact_reference(inst).eigenvalues.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_b_plus_small_tiles(self):
+        # LAPACK's copy of B is allocated inside numpy's eigvalsh, outside
+        # what tracemalloc sees; every other allocation is traced.
+        inst = dense_instance(6, 32, 32, np.array([1.0, -0.5, 0.25]))
+        n = 32 * 32
+        tracemalloc.start()
+        try:
+            exact_reference(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 16
+
+    def test_dimension_cap_checked_before_assembly(self):
+        inst = dense_instance(7, 32, 32, np.array([1.0, -0.5]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError) as err:
+                exact_reference(inst, dim_cap=1023)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "tensor product dimension 32*32 = 1024 exceeds the cap 1023; "
+            "raise dim_cap to force assembly"
+        )
+        assert peak < 1024 * 1024 * 16 / 100
 
 
 class TestDominanceSweep:

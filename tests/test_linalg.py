@@ -14,7 +14,8 @@ from tensorbound import (
     pauli,
     spectral_norm,
 )
-from tensorbound.linalg import BATCH_ENTRIES, batches, frobenius_norms
+from tensorbound import linalg
+from tensorbound.linalg import BATCH_ENTRIES, HERM_TOL_FACTOR, batches, frobenius_norms
 
 I2 = np.eye(2, dtype=complex)
 SX = pauli("x")
@@ -241,6 +242,62 @@ class TestHermitianEig:
             abs(summary.lambda_min), abs(summary.lambda_max)
         )
         assert len(summary.eigenvalues) == a.shape[0]
+
+
+def with_defect(rng, n, ratio):
+    """A random n x n matrix H + e K (H Hermitian, K skew-Hermitian) whose
+    defect ||a - a*||_F = 2 e ||K||_F is ``ratio`` times the tolerance
+    HERM_TOL_FACTOR * ||a||_F, since ||a||_F^2 = ||H||_F^2 + e^2 ||K||_F^2."""
+    h = random_hermitian(rng, n)
+    k = random_matrix(rng, n)
+    k = (k - k.conj().T) / 2
+    t = ratio * HERM_TOL_FACTOR
+    e = t * np.linalg.norm(h) / (np.linalg.norm(k) * np.sqrt(4 - t * t))
+    return h + e * k
+
+
+# hermitian_eig checks n = 16, 300 and 600 in 1, 2 and 6 row blocks of
+# at most BATCH_ENTRIES entries.
+BLOCK_SIZES = [16, 300, 600]
+
+
+class TestHermitianEigRowBlocks:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("side", [1 - 1e-12, 1 + 1e-12])
+    def test_defect_matches_full_norm(self, monkeypatch, n, side):
+        # With the tolerance 1e-12 (relative) above the full-matrix defect
+        # the matrix is accepted, and 1e-12 below it rejected: the blockwise
+        # defect lies within 1e-12 relative of the full-matrix one.
+        a = with_defect(np.random.default_rng(n), n, 0.5)
+        full = np.linalg.norm(a - a.conj().T)
+        monkeypatch.setattr(linalg, "HERM_TOL_FACTOR", side * full / np.linalg.norm(a))
+        if side > 1:
+            hermitian_eig(a)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eig(a)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_defect_just_above_tolerance_raises(self, n):
+        rng = np.random.default_rng(n + 1)
+        hermitian_eig(with_defect(rng, n, 1 - 1e-6))
+        a = with_defect(rng, n, 1 + 1e-6)
+        defect = np.linalg.norm(a - a.conj().T)
+        tol = HERM_TOL_FACTOR * np.linalg.norm(a)
+        with pytest.raises(ValueError) as err:
+            hermitian_eig(a)
+        assert str(err.value) == (
+            f"matrix is not Hermitian: ||a - a*||_F = {defect:.3e} "
+            f"exceeds tolerance {tol:.3e}"
+        )
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_entries(self, n, entry):
+        a = random_hermitian(np.random.default_rng(n + 2), n)
+        a[n - 1, n // 2] = entry
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eig(a)
 
 
 class TestBatches:
