@@ -22,15 +22,11 @@ from .bounds import (
     build_report,
     check_domination,
     chsh_identity_residual,
-    complete_bound,
     exact_reference,
     extreme_spectrum,
     phi_table,
     require_domination,
-    sparse_bound,
     two_term_sharpness,
-    weighted_edge_sum,
-    weighted_pair_sum,
 )
 from .certificates import (
     CertificateReport,
@@ -113,7 +109,6 @@ __all__ = [
     "chsh_identity_residual",
     "clifford_generators",
     "commutator",
-    "complete_bound",
     "complete_graph",
     "cycle_graph",
     "exact_reference",
@@ -132,11 +127,8 @@ __all__ = [
     "require_domination",
     "run_sweep",
     "save_instance",
-    "sparse_bound",
     "spectral_norm",
     "star_graph",
     "two_term_sharpness",
     "validate",
-    "weighted_edge_sum",
-    "weighted_pair_sum",
 ]

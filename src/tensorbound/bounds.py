@@ -91,16 +91,14 @@ class TensorSumInstance:
                 f"need equally many x and y operators, got {len(x)} and {len(y)}"
             )
         m = len(x)
-        if weights is None:
-            w = np.ones(m)
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (m,):
-                raise InstanceValidationError(
-                    f"expected {m} weights, got shape {w.shape}"
-                )
-            if not np.all(np.isfinite(w)):
-                raise InstanceValidationError("weights must be finite reals")
+        try:
+            w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise InstanceValidationError("weights must be finite reals") from None
+        if w.shape != (m,):
+            raise InstanceValidationError(f"expected {m} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise InstanceValidationError("weights must be finite reals")
         for side, ops in (("x", x), ("y", y)):
             dim = ops[0].shape[0]
             # validate up to the first dimension mismatch: a defect before it is reported first
@@ -201,38 +199,10 @@ def phi_table(inst: TensorSumInstance) -> PhiTable:
     )
 
 
-def _pair_weights(weights: np.ndarray) -> np.ndarray:
-    """(m, m) table of |c_i c_j|."""
-    return np.abs(np.outer(weights, weights))
-
-
 def _sum_in_order(terms: np.ndarray) -> float:
     """Left-to-right sum of a 1-d array. Pairwise summation would change
     the last bits of reported bounds whenever there are 8 or more terms."""
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
-def weighted_pair_sum(phi: PhiTable, weights: np.ndarray) -> float:
-    """sum over all pairs i < j of |c_i c_j| phi_ij."""
-    terms = _pair_weights(weights) * phi.values
-    return _sum_in_order(terms[np.triu_indices(phi.m, k=1)])
-
-
-def weighted_edge_sum(phi: PhiTable, weights: np.ndarray, g: InteractionGraph) -> float:
-    """sum over graph edges of |c_i c_j| phi_ij, edges in sorted order."""
-    terms = _pair_weights(weights) * phi.values
-    return _sum_in_order(terms[np.triu(g.adjacency) > 0])
-
-
-def _sum_c_squared(inst: TensorSumInstance) -> float:
-    return float(np.sum(inst.weights ** 2))
-
-
-def complete_bound(inst: TensorSumInstance, phi: PhiTable | None = None) -> float:
-    """All-pairs bound on ||B_c||^2: sum c_i^2 + sum_{i<j} |c_i c_j| phi_ij."""
-    if phi is None:
-        phi = phi_table(inst)
-    return _sum_c_squared(inst) + weighted_pair_sum(phi, inst.weights)
 
 
 @dataclass(frozen=True)
@@ -285,7 +255,7 @@ def check_domination(
     if phi is None:
         phi = phi_table(inst)
     m = inst.m
-    w = _pair_weights(inst.weights) if weighted else np.ones((m, m))
+    w = np.abs(np.outer(inst.weights, inst.weights)) if weighted else np.ones((m, m))
     terms = w * phi.values
     adj, degree = g.adjacency, g.degrees
     # each row summed left to right over the neighbors in ascending order
@@ -305,16 +275,10 @@ def check_domination(
     return DominationReport(weighted=weighted, checks=checks, violations=violations)
 
 
-def require_domination(
-    inst: TensorSumInstance,
-    g: InteractionGraph,
-    phi: PhiTable | None = None,
-    report: DominationReport | None = None,
-) -> DominationReport:
-    """Run the weighted edge-domination check (or take its ``report``),
-    raising DominationError (with the full report attached) when it fails."""
-    if report is None:
-        report = check_domination(inst, g, weighted=True, phi=phi)
+def require_domination(inst: TensorSumInstance, g: InteractionGraph) -> DominationReport:
+    """Run the weighted edge-domination check, raising DominationError
+    (with the full report attached) when it fails."""
+    report = check_domination(inst, g, weighted=True)
     if not report.satisfied:
         worst = min(report.violations, key=lambda c: c.slack)
         raise DominationError(
@@ -323,26 +287,6 @@ def require_domination(
             report,
         )
     return report
-
-
-def sparse_bound(
-    inst: TensorSumInstance,
-    g: InteractionGraph,
-    phi: PhiTable | None = None,
-    domination: DominationReport | None = None,
-) -> float:
-    """Graph-restricted bound sum c_i^2 + C(G) * sum_edges |c_i c_j| phi_ij.
-
-    Only proven under edge domination: if the weighted check (run here
-    unless its report is passed as ``domination``) fails this raises
-    DominationError instead of returning an unproven number, and a graph
-    with an isolated vertex has no finite C(G).
-    """
-    if phi is None:
-        phi = phi_table(inst)
-    require_domination(inst, g, phi=phi, report=domination)
-    c_of_g = graph_constant(g)  # IsolatedVertexError when min degree is 0
-    return _sum_c_squared(inst) + c_of_g * weighted_edge_sum(phi, inst.weights, g)
 
 
 def exact_reference(
@@ -572,26 +516,32 @@ def build_report(
 ) -> BoundReport:
     """Compute every applicable bound (and the exact norm from
     extreme_spectrum when the product dimension is under the cap) for one
-    instance.
+    instance. This is the one place bound values are computed, all from
+    the table of terms |c_i c_j| phi_ij:
 
-    Never raises on domination failure or an oversized product space; the
-    corresponding fields simply stay None, with the domination report
-    recording any violations.
+        complete = sum c_i^2 + sum_{i<j} |c_i c_j| phi_ij
+        sparse   = sum c_i^2 + C(G) * sum_edges |c_i c_j| phi_ij
+
+    The sparse bound is proven only under edge domination and needs a
+    graph of minimum degree >= 1. Never raises on domination failure or an
+    oversized product space; the corresponding fields simply stay None,
+    with the domination report recording any violations.
     """
     phi = phi_table(inst)
-    complete = complete_bound(inst, phi)
+    w = inst.weights
+    terms = np.abs(np.outer(w, w)) * phi.values
+    sum_c_sq = float(np.sum(w ** 2))
+    pair_sum = _sum_in_order(terms[np.triu_indices(inst.m, k=1)])
+    complete = sum_c_sq + pair_sum
 
-    c_of_g = None
-    edge_sum = None
-    sparse = None
-    domination = None
+    c_of_g = edge_sum = sparse = domination = None
     if g is not None:
         domination = check_domination(inst, g, weighted=True, phi=phi)
-        edge_sum = weighted_edge_sum(phi, inst.weights, g)
+        edge_sum = _sum_in_order(terms[np.triu(g.adjacency) > 0])  # edges in sorted order
         if g.min_degree() > 0:
             c_of_g = graph_constant(g)
             if domination.satisfied:
-                sparse = sparse_bound(inst, g, phi, domination)
+                sparse = sum_c_sq + c_of_g * edge_sum
 
     exact_sq = None
     lam_max = None
@@ -609,8 +559,8 @@ def build_report(
         m=inst.m,
         dim_h=inst.dim_h,
         dim_k=inst.dim_k,
-        sum_c_squared=_sum_c_squared(inst),
-        total_phi_sum=weighted_pair_sum(phi, inst.weights),
+        sum_c_squared=sum_c_sq,
+        total_phi_sum=pair_sum,
         baseline_bound=complete,
         complete_bound=complete,
         graph_constant=c_of_g,

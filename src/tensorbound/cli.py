@@ -496,6 +496,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= args.tol < np.inf:  # NaN, inf or a negative slack would void the bound self-check
+        parser.error(f"argument --tol: must be finite and non-negative, got {args.tol!r}")
     try:
         return COMMANDS[args.command](args, parser)
     except DominationError as exc:

@@ -30,7 +30,10 @@ def _entry_from_json(cell, where: str) -> complex:
         raise InstanceValidationError(
             f"{where}: each entry must be a two-element [re, im] array, got {cell!r}"
         )
-    re, im = float(cell[0]), float(cell[1])
+    try:
+        re, im = float(cell[0]), float(cell[1])
+    except OverflowError:  # an integer beyond the float range
+        re = im = np.inf
     if not (np.isfinite(re) and np.isfinite(im)):
         raise InstanceValidationError(f"{where}: entries must be finite, got {cell!r}")
     return complex(re, im)
@@ -182,13 +185,16 @@ def instance_to_dict(
     return doc
 
 
-def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
+def _read_json(path):
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+
+
+def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
+    return instance_from_dict(_read_json(path))
 
 
 def save_instance(
@@ -200,9 +206,4 @@ def save_instance(
 
 def load_graph(path, m: int) -> InteractionGraph:
     """Standalone graph file: {"edges": [[i, j], ...]}, 0-based."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return graph_from_json(doc, m)
+    return graph_from_json(_read_json(path), m)

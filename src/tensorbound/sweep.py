@@ -52,6 +52,8 @@ class SweepConfig:
             raise ValueError(f"kinds must be a nonempty subset of {ENSEMBLE_KINDS}")
         if self.graph_mode not in GRAPH_MODES:
             raise ValueError(f"graph_mode must be one of {GRAPH_MODES}")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

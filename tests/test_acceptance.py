@@ -23,7 +23,6 @@ from tensorbound import (
     check_domination,
     chsh_identity_residual,
     clifford_generators,
-    complete_bound,
     complete_graph,
     exact_reference,
     graph_constant,
@@ -33,8 +32,8 @@ from tensorbound import (
     random_graph_min_degree_one,
     random_operator,
     RandomEnsembleConfig,
+    require_domination,
     run_sweep,
-    sparse_bound,
     star_graph,
     two_term_sharpness,
 )
@@ -97,7 +96,7 @@ def test_criterion_03_clifford_equality_ladder():
         assert exact_reference(inst).spectral_norm == pytest.approx(
             float(m), abs=1e-9
         )
-        assert complete_bound(inst) == float(m * m)  # exact
+        assert build_report(inst).complete_bound == float(m * m)  # exact
     assert time.monotonic() - start < 10.0
 
 
@@ -115,7 +114,7 @@ def test_criterion_05_counterexample_regression():
     assert report.baseline_bound == pytest.approx(5.0, abs=1e-12)
 
     with pytest.raises(DominationError) as excinfo:
-        sparse_bound(inst, graph)
+        require_domination(inst, graph)
     (violation,) = excinfo.value.report.violations
     assert violation.pair == (1, 3)
     assert violation.lhs == pytest.approx(2.0, abs=1e-12)
@@ -139,7 +138,7 @@ def test_criterion_06_weighted_tightness():
             assert exact_reference(inst).spectral_norm == pytest.approx(
                 total, abs=1e-9
             )
-            assert complete_bound(inst) == pytest.approx(
+            assert build_report(inst).complete_bound == pytest.approx(
                 total * total, rel=1e-12
             )
 

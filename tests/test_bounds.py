@@ -27,17 +27,14 @@ from tensorbound import (
     check_domination,
     chsh_identity_residual,
     clifford_generators,
-    complete_bound,
     complete_graph,
     exact_reference,
     kron,
     pauli,
     phi_table,
     random_operator,
-    sparse_bound,
+    require_domination,
     two_term_sharpness,
-    weighted_edge_sum,
-    weighted_pair_sum,
 )
 from tensorbound import bounds
 from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
@@ -49,6 +46,13 @@ SY = pauli("y")
 SZ = pauli("z")
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def test_exports_resolve_and_are_sorted():
+    import tensorbound
+
+    assert [n for n in tensorbound.__all__ if not hasattr(tensorbound, n)] == []
+    assert tensorbound.__all__ == sorted(set(tensorbound.__all__))
 
 
 def chsh_instance():
@@ -138,7 +142,7 @@ class TestInstanceValidation:
         gens = clifford_generators(3)
         inst = TensorSumInstance(gens, gens, [1.0, 0.0, 1.0])
         reduced = TensorSumInstance([gens[0], gens[2]], [gens[0], gens[2]])
-        assert complete_bound(inst) == complete_bound(reduced)
+        assert build_report(inst).complete_bound == build_report(reduced).complete_bound
         assert exact_reference(inst).spectral_norm == pytest.approx(
             exact_reference(reduced).spectral_norm, abs=1e-12
         )
@@ -266,11 +270,11 @@ class TestCompleteBound:
     def test_clifford_three_is_nine(self):
         gens = clifford_generators(3)
         inst = TensorSumInstance(gens, gens)
-        assert complete_bound(inst) == 9.0
+        assert build_report(inst).complete_bound == 9.0
 
     def test_single_term(self):
         inst = TensorSumInstance([SZ], [SZ])
-        assert complete_bound(inst) == 1.0
+        assert build_report(inst).complete_bound == 1.0
 
     def test_chsh_is_eight_with_brute_force_pairs(self):
         inst = chsh_instance()
@@ -285,7 +289,7 @@ class TestCompleteBound:
         brute = brute_phi_breakdown(inst.x, inst.y)
         for pair, value in expected_phi.items():
             assert brute[pair] == pytest.approx(value, abs=1e-12)
-        assert complete_bound(inst) == pytest.approx(8.0, abs=1e-12)
+        assert build_report(inst).complete_bound == pytest.approx(8.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_weighted_clifford_equals_sum_abs_squared(self, m):
@@ -294,7 +298,7 @@ class TestCompleteBound:
         weights = rng.uniform(-2, 2, m)
         inst = TensorSumInstance(gens, gens, weights)
         expected = float(np.sum(np.abs(weights))) ** 2
-        assert complete_bound(inst) == pytest.approx(expected, rel=1e-12)
+        assert build_report(inst).complete_bound == pytest.approx(expected, rel=1e-12)
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
@@ -307,16 +311,16 @@ class TestCompleteBound:
             [inst.y[p] for p in perm],
             inst.weights[perm],
         )
-        assert complete_bound(permuted) == pytest.approx(
-            complete_bound(inst), rel=1e-12
+        assert build_report(permuted).complete_bound == pytest.approx(
+            build_report(inst).complete_bound, rel=1e-12
         )
 
     def test_scaling_covariance_exact_for_powers_of_two(self):
         inst = random_instance(7, m=3)
-        base = complete_bound(inst)
+        base = build_report(inst).complete_bound
         for t in (0.5, 2.0, 4.0):
             scaled = TensorSumInstance(inst.x, inst.y, t * inst.weights)
-            assert complete_bound(scaled) == t * t * base
+            assert build_report(scaled).complete_bound == t * t * base
 
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -324,8 +328,8 @@ class TestCompleteBound:
         inst = random_instance(seed, m=3)
         t = float(np.random.default_rng(seed + 2).uniform(0.1, 3.0))
         scaled = TensorSumInstance(inst.x, inst.y, t * inst.weights)
-        assert complete_bound(scaled) == pytest.approx(
-            t * t * complete_bound(inst), rel=1e-12
+        assert build_report(scaled).complete_bound == pytest.approx(
+            t * t * build_report(inst).complete_bound, rel=1e-12
         )
 
     def test_anticommuting_specialization_drops_anti_terms(self):
@@ -338,7 +342,7 @@ class TestCompleteBound:
         for i, j in itertools.combinations(range(4), 2):
             assert table.anti_x[i, j] * table.anti_y[i, j] == 0.0
             reference += 0.5 * (table.comm_x[i, j] * table.comm_y[i, j])
-        assert complete_bound(inst) == reference
+        assert build_report(inst).complete_bound == reference
 
 
 class TestDomination:
@@ -461,12 +465,18 @@ class TestArrayCoreMatchesLoops:
         brute = brute_phi_breakdown(inst.x, inst.y)
         table = phi_table(inst)
         close = dict(rel=1e-12, abs=1e-15)
-        assert weighted_pair_sum(table, inst.weights) == pytest.approx(
+        bounds_report = build_report(inst, graph)
+        assert bounds_report.total_phi_sum == pytest.approx(
             sequential_pair_sum(brute, inst.weights), **close
         )
-        assert weighted_edge_sum(table, inst.weights, graph) == pytest.approx(
+        assert bounds_report.edge_phi_sum == pytest.approx(
             sequential_edge_sum(brute, inst.weights, graph.edges), **close
         )
+        if bounds_report.sparse_bound is not None:
+            assert bounds_report.sparse_bound == (
+                bounds_report.sum_c_squared
+                + bounds_report.graph_constant * bounds_report.edge_phi_sum
+            )
         expected = loop_domination(brute, inst.weights, inst.m, graph.edges, weighted, DOM_TOL)
         report = check_domination(inst, graph, weighted=weighted, phi=table)
         assert [c.pair for c in report.checks] == sorted(expected)
@@ -480,9 +490,8 @@ class TestArrayCoreMatchesLoops:
 class TestSparseBound:
     def test_complete_graph_reduces_to_complete_bound(self):
         inst = random_instance(11, m=4)
-        assert sparse_bound(inst, complete_graph(4)) == pytest.approx(
-            complete_bound(inst), rel=1e-12
-        )
+        report = build_report(inst, complete_graph(4))
+        assert report.sparse_bound == pytest.approx(report.complete_bound, rel=1e-12)
 
     def test_chain_formula(self):
         gens = clifford_generators(4)
@@ -492,13 +501,14 @@ class TestSparseBound:
         expected = 4.0 + (2 * 4 - 3) * sum(
             table.phi(i, i + 1) for i in range(1, 4)
         )
-        assert sparse_bound(inst, graph) == pytest.approx(expected, rel=1e-12)
-        assert weighted_edge_sum(table, inst.weights, graph) == pytest.approx(6.0)
+        report = build_report(inst, graph)
+        assert report.sparse_bound == pytest.approx(expected, rel=1e-12)
+        assert report.edge_phi_sum == pytest.approx(6.0)
 
     def test_counterexample_raises_with_report(self):
         inst, graph = counterexample_instance()
         with pytest.raises(DominationError) as excinfo:
-            sparse_bound(inst, graph)
+            require_domination(inst, graph)
         report = excinfo.value.report
         assert not report.satisfied
         assert report.violations[0].pair == (1, 3)
@@ -578,7 +588,7 @@ class TestDominanceSweep:
     def test_exact_never_beats_complete_bound(self, seed):
         inst = random_instance(seed)
         exact_sq = exact_reference(inst).spectral_norm ** 2
-        assert exact_sq <= complete_bound(inst) + 1e-8
+        assert exact_sq <= build_report(inst).complete_bound + 1e-8
 
     @pytest.mark.parametrize("seed", range(60))
     def test_exact_never_beats_sparse_bound_when_dominated(self, seed):
@@ -591,7 +601,7 @@ class TestDominanceSweep:
         if not report.satisfied:
             return
         exact_sq = exact_reference(inst).spectral_norm ** 2
-        assert exact_sq <= sparse_bound(inst, graph) + 1e-8
+        assert exact_sq <= build_report(inst, graph).sparse_bound + 1e-8
 
     def test_fixtures_dominate(self):
         fixtures = [
@@ -602,7 +612,7 @@ class TestDominanceSweep:
         ]
         for inst in fixtures:
             exact_sq = exact_reference(inst).spectral_norm ** 2
-            assert exact_sq <= complete_bound(inst) + 1e-8
+            assert exact_sq <= build_report(inst).complete_bound + 1e-8
 
 
 class TestChshIdentity:
@@ -677,8 +687,9 @@ class TestBoundReport:
         report = build_report(inst)
         assert report.baseline_bound == report.complete_bound
         assert report.complete_bound == report.sum_c_squared + report.total_phi_sum
+        pairs = itertools.combinations(range(inst.m), 2)
         assert report.total_phi_sum == pytest.approx(
-            weighted_pair_sum(table, inst.weights), rel=1e-15
+            sequential_pair_sum({p: table.values[p] for p in pairs}, inst.weights), rel=1e-15
         )
         assert report.exact_norm_squared is not None
         assert report.exact_norm_squared <= report.complete_bound + 1e-8

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from oracles import brute_phi_breakdown, count_pairs_at_least
-from tensorbound import TensorSumInstance, cli, save_instance
+from tensorbound import TensorSumInstance, cli, instance_to_dict, save_instance, sweep
 from tensorbound.demos import build_demo
 from test_bounds import small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
@@ -118,6 +118,24 @@ class TestBound:
         bad.write_text(json.dumps({"schema_version": "tensorbound/1", "dim_h": 2}))
         proc = run_cli("bound", str(bad))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("where", ["entry", "weight"])
+    def test_oversized_integer_exits_one(self, tmp_path, where):
+        doc = json.loads(json.dumps(instance_to_dict(build_demo("chsh")[0])))
+        if where == "entry":
+            doc["y"][1][0][1][0] = 10**400
+        else:
+            doc["weights"][2] = -(10**400)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("bound", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        expected = {"entry": "y[1][0][1]: entries must be finite",
+                    "weight": "weights must be finite reals"}[where]
+        assert line.startswith("error: ") and expected in line
+        assert "Traceback" not in proc.stderr
 
     def test_dim_cap_flag_disables_exact(self, demo_dir):
         proc = run_cli(
@@ -416,9 +434,37 @@ class TestSweep:
         proc = run_cli("sweep", "--trials", "2", "--kinds", "haar")
         assert proc.returncode == 1
 
-    def test_violations_exit_four(self):
-        # an impossible slack tolerance forces every trial to report a
-        # violation, exercising the dedicated exit code
-        proc = run_cli("--tol=-1e9", "sweep", "--trials", "3", "--seed", "2")
-        assert proc.returncode == 4
-        assert "exceeds complete bound" in proc.stdout
+    def test_violations_exit_four(self, monkeypatch, capsys):
+        # a complete bound halved below the exact value makes every trial
+        # report a violation, exercising the dedicated exit code
+        real = sweep.build_report
+
+        def halved(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, complete_bound=report.exact_norm_squared / 2)
+
+        monkeypatch.setattr(sweep, "build_report", halved)
+        assert cli.main(["sweep", "--trials", "3", "--seed", "2"]) == 4
+        assert "exceeds complete bound" in capsys.readouterr().out
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
+    def test_non_finite_or_negative_tol_is_a_usage_error(self, tmp_path, tol):
+        # rejected before any work: the demo writes no file
+        proc = run_cli(f"--tol={tol}", "demo", "chsh", "--dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "argument --tol: must be finite and non-negative" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["bound", "INSTANCE"], ["sweep", "--trials", "2"]])
+    def test_nan_tol_rejected_on_bound_and_sweep(self, demo_dir, command):
+        argv = [str(demo_dir / "demo-chsh.json") if a == "INSTANCE" else a for a in command]
+        proc = run_cli("--tol", "nan", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_zero_tol_accepted(self, demo_dir):
+        proc = run_cli("--tol", "0", "bound", str(demo_dir / "demo-chsh.json"))
+        assert proc.returncode == 0

@@ -99,6 +99,23 @@ class TestValidationErrors:
         with pytest.raises(InstanceValidationError, match="finite"):
             instance_from_dict(doc)
 
+    # 10**400 is a valid JSON integer that no float can hold
+    @pytest.mark.parametrize("cell", [[10**400, 0.0], [0.0, -(10**400)]])
+    def test_oversized_integer_entry_named(self, cell):
+        doc = chsh_dict()
+        doc["x"][0][0][0] = cell
+        message = r"x\[0\]\[0\]\[0\]: entries must be finite"
+        with pytest.raises(InstanceValidationError, match=message):
+            instance_from_dict(doc)
+
+    def test_oversized_integer_weight_rejected(self):
+        doc = chsh_dict()
+        doc["weights"] = [1.0, 10**400, 1.0, 1.0]
+        with pytest.raises(InstanceValidationError, match="weights must be finite reals"):
+            instance_from_dict(doc)
+        with pytest.raises(InstanceValidationError, match="weights must be finite reals"):
+            TensorSumInstance([pauli("z")], [pauli("z")], [-(10**400)])
+
     def test_weights_length_checked(self):
         doc = chsh_dict()
         doc["weights"] = [1.0, 2.0]
@@ -191,3 +208,10 @@ class TestStandaloneGraph:
         path.write_text(json.dumps({"edges": [[0, 1, 2]]}))
         with pytest.raises(InstanceValidationError, match=r"edges\[0\]"):
             load_graph(path, 3)
+
+    def test_load_graph_not_json(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text("{nope")
+        with pytest.raises(InstanceValidationError) as err:
+            load_graph(path, 3)
+        assert str(err.value).startswith(f"{path}: not valid JSON: Expecting property name")

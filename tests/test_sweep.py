@@ -64,6 +64,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="trials"):
             SweepConfig(trials=0, seed=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            SweepConfig(trials=1, seed=0, tol=tol)
+
+    def test_accepts_zero_tol(self):
+        assert SweepConfig(trials=1, seed=0, tol=0.0).tol == 0.0
+
     def test_summary_reports_rng_scheme(self):
         result = run_sweep(SweepConfig(trials=5, seed=1))
         assert result.summary()["rng"] == "pcg64+box-muller"
