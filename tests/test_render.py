@@ -1,18 +1,20 @@
-"""Byte-for-byte pins of the text and CSV renderings.
+"""Byte-for-byte pins of the text, JSON and CSV renderings.
 
 For every golden demo, ``tests/golden/render`` holds the stdout of
-``demo`` (text), of ``bound`` (text and CSV, with the embedded graph
-and with ``--no-graph``) and of ``certify`` (computed beta in text and
-JSON, and a supplied beta with thresholds and the phi-threshold variant)
-on the instance file the demo writes. The files are named
-``<golden stem>.<case>.<txt|csv>``; they are not ``*.json`` (the JSON
-rendering is stored as ``.txt``) so that nothing globbing the report
-goldens picks them up.
+``demo`` (text and JSON), of ``bound`` (text, JSON and CSV, with the
+embedded graph and with ``--no-graph``), of ``exact`` (text and JSON) and
+of ``certify`` (computed beta in text and JSON, and a supplied beta with
+thresholds and the phi-threshold variant) on the instance file the demo
+writes; for the goldens whose demo embeds a graph, also of
+``check-domination`` (text, JSON and ``--unweighted``). They are named
+``<golden stem>.<case>.<txt|csv>``. Beside them, ``sweep.<txt|csv>`` and
+``sweep-json.txt`` pin ``sweep --trials 20 --seed 42``. No pin is
+``*.json`` (JSON renderings are stored as ``.txt``) so that nothing
+globbing the report goldens picks them up.
 
 The pinned values depend on the LAPACK build numpy uses; CSV cells carry full
 precision. To regenerate after an intended output change, run
-``PYTHONPATH=src:tests python tests/test_render.py``.
-"""
+``PYTHONPATH=src:tests python tests/test_render.py``."""
 
 import json
 from pathlib import Path
@@ -25,13 +27,22 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 RENDER_DIR = GOLDEN_DIR / "render"
 STEMS = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
 
+SWEEP_ARGS = ("--trials", "20", "--seed", "42")
+
 # case name -> (command, extra arguments, file suffix)
 CASES = {
     "demo": ("demo", (), "txt"),
+    "demo-json": ("demo", ("--output", "json"), "txt"),
     "bound": ("bound", (), "txt"),
+    "bound-json": ("bound", ("--output", "json"), "txt"),
     "bound-csv": ("bound", ("--output", "csv"), "csv"),
     "bound-no-graph": ("bound", ("--no-graph",), "txt"),
     "bound-no-graph-csv": ("bound", ("--no-graph", "--output", "csv"), "csv"),
+    "exact": ("exact", (), "txt"),
+    "exact-json": ("exact", ("--output", "json"), "txt"),
+    "check-domination": ("check-domination", (), "txt"),
+    "check-domination-json": ("check-domination", ("--output", "json"), "txt"),
+    "check-domination-unweighted": ("check-domination", ("--unweighted",), "txt"),
     "certify": ("certify", (), "txt"),
     "certify-json": ("certify", ("--output", "json"), "txt"),
     "certify-counts": (
@@ -39,42 +50,69 @@ CASES = {
         ("--beta", "2.5", "-t", "0.5", "-t", "2", "--phi-threshold", "1", "--c-max", "1"),
         "txt",
     ),
+    "sweep": ("sweep", SWEEP_ARGS, "txt"),
+    "sweep-json": ("sweep", (*SWEEP_ARGS, "--output", "json"), "txt"),
+    "sweep-csv": ("sweep", (*SWEEP_ARGS, "--output", "csv"), "csv"),
 }
 
 
+def _golden(stem: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{stem}.json").read_text())
+
+
+# goldens whose demo embeds a graph, the only ones check-domination accepts
+GRAPH_STEMS = [s for s in STEMS if _golden(s)["report"].get("domination") is not None]
+
+
+def _stems(case: str) -> list:
+    """The goldens a case runs on; None for a sweep, which reads no file."""
+    command = CASES[case][0]
+    if command == "sweep":
+        return [None]
+    return GRAPH_STEMS if command == "check-domination" else STEMS
+
+
+PINS = [(stem, case) for case in CASES for stem in _stems(case)]
+
+
 def _demo_argv(stem: str, directory: Path) -> list[str]:
-    golden = json.loads((GOLDEN_DIR / f"{stem}.json").read_text())
+    golden = _golden(stem)
     argv = ["demo", golden["demo"], "--dir", str(directory)]
     if golden["m_arg"] is not None:
         argv += ["--m", str(golden["m_arg"])]
     return argv
 
 
-def render(stem: str, case: str, directory: Path, capture) -> str:
+def render(stem, case: str, directory: Path, capture) -> str:
     """stdout of one case; ``capture()`` returns what was printed since
     its last call."""
-    cli.main(_demo_argv(stem, directory))
+    command, extra, _ = CASES[case]
+    if command == "sweep":
+        cli.main([command, *extra])
+        return capture()
+    cli.main([*_demo_argv(stem, directory), *(extra if command == "demo" else ())])
     demo_out = capture()
-    if case == "demo":
+    if command == "demo":
         return demo_out
     (path,) = directory.glob("*.json")
-    command, extra, _ = CASES[case]
     cli.main([command, str(path), *extra])
     return capture()
 
 
-def expected_path(stem: str, case: str) -> Path:
-    return RENDER_DIR / f"{stem}.{case}.{CASES[case][2]}"
+def expected_path(stem, case: str) -> Path:
+    name = case if stem is None else f"{stem}.{case}"
+    return RENDER_DIR / f"{name}.{CASES[case][2]}"
 
 
 def test_every_golden_and_case_is_pinned():
     pinned = {p.name for p in RENDER_DIR.iterdir()}
-    wanted = {expected_path(s, c).name for s in STEMS for c in CASES}
+    wanted = {expected_path(s, c).name for s, c in PINS}
     assert pinned == wanted
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("stem", STEMS)
+@pytest.mark.parametrize(
+    "stem, case", PINS, ids=[c if s is None else f"{s}-{c}" for s, c in PINS]
+)
 def test_rendering_is_byte_identical(stem, case, tmp_path, capsys):
     out = render(stem, case, tmp_path, lambda: capsys.readouterr().out)
     assert out == expected_path(stem, case).read_text(encoding="utf-8")
@@ -86,17 +124,16 @@ if __name__ == "__main__":
     import tempfile
 
     RENDER_DIR.mkdir(exist_ok=True)
-    for stem in STEMS:
-        for case in CASES:
-            with tempfile.TemporaryDirectory() as tmp:
-                buf = io.StringIO()
+    for stem, case in PINS:
+        with tempfile.TemporaryDirectory() as tmp:
+            buf = io.StringIO()
 
-                def capture():
-                    text = buf.getvalue()
-                    buf.seek(0)
-                    buf.truncate()
-                    return text
+            def capture():
+                text = buf.getvalue()
+                buf.seek(0)
+                buf.truncate()
+                return text
 
-                with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                    out = render(stem, case, Path(tmp), capture)
-            expected_path(stem, case).write_text(out, encoding="utf-8")
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                out = render(stem, case, Path(tmp), capture)
+        expected_path(stem, case).write_text(out, encoding="utf-8")
