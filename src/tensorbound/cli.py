@@ -60,13 +60,6 @@ def _kv_lines(items) -> str:
     return "\n".join(f"{k + ':':<{width + 2}}{_fmt(v)}" for k, v in items)
 
 
-def _cell(v) -> str:
-    """One CSV cell: empty for None, full precision for floats."""
-    if v is None:
-        return ""
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 # ---------------------------------------------------------------------------
 # report -> dict (JSON) and text renderers
 
@@ -136,12 +129,18 @@ def bound_report_text(rep: BoundReport) -> str:
     return "\n".join(out)
 
 
-def bound_report_csv(rep: BoundReport) -> str:
+def _csv_table(header, rows) -> str:
+    """A header and rows of values as CSV, without the final newline. The
+    csv module writes None as an empty cell and floats at full precision."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BOUND_CSV_FIELDS)
-    writer.writerow([_cell(getattr(rep, k)) for k in BOUND_CSV_FIELDS])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
+
+
+def bound_report_csv(rep: BoundReport) -> str:
+    return _csv_table(BOUND_CSV_FIELDS, [[getattr(rep, k) for k in BOUND_CSV_FIELDS]])
 
 
 def spectral_text(s: SpectralSummary) -> str:
@@ -212,19 +211,24 @@ def sweep_text(result: SweepResult) -> str:
 
 def sweep_csv(result: SweepResult) -> str:
     """One row per trial: the TrialResult fields, violations as a count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     names = [f.name for f in fields(TrialResult)]
-    writer.writerow(names)
-    for t in result.trials:
-        writer.writerow(
-            [_cell(len(t.violations) if n == "violations" else getattr(t, n)) for n in names]
-        )
-    return buf.getvalue().rstrip("\n")
+    return _csv_table(
+        names,
+        ([len(t.violations) if n == "violations" else getattr(t, n) for n in names]
+         for t in result.trials),
+    )
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _print_report(output: str, report, to_text, to_json, to_csv=None) -> None:
+    """Print ``report`` as ``--output`` asks, with the given renderers."""
+    if output == "json":
+        _emit_json(to_json(report))
+    else:
+        print((to_csv if output == "csv" else to_text)(report))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,10 @@ def _parse_weights(text: str) -> list[float]:
         return [float(p) for p in text.replace(",", " ").split()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse weights from {text!r}") from None
+
+
+def _parse_kinds(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,17 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--dir", default=".", help="directory for the instance file (default .)")
     add_output(p_demo, ("text", "json"))
 
-    p_sweep = sub.add_parser("sweep", help="randomized verification sweep of the bounds")
+    p_sweep = sub.add_parser(
+        "sweep", help="randomized verification sweep of the bounds", argument_default=argparse.SUPPRESS
+    )
     p_sweep.add_argument("--trials", type=int, default=500)
     p_sweep.add_argument("--seed", type=int, default=42)
-    p_sweep.add_argument("--max-m", type=int, default=5)
-    p_sweep.add_argument("--max-dim", type=int, default=4)
-    p_sweep.add_argument(
-        "--kinds",
-        default="contraction,unitary_involution",
-        help="comma-separated ensemble kinds to mix",
-    )
-    p_sweep.add_argument("--graph-mode", choices=GRAPH_MODES, default="random_min_degree_1")
+    p_sweep.add_argument("--max-m", type=int)
+    p_sweep.add_argument("--max-dim", type=int)
+    p_sweep.add_argument("--kinds", type=_parse_kinds, help="comma-separated ensemble kinds to mix")
+    p_sweep.add_argument("--graph-mode", choices=GRAPH_MODES)
     add_output(p_sweep, ("text", "json", "csv"))
 
     return parser
@@ -351,13 +357,7 @@ def cmd_bound(args, parser) -> int:
     inst, embedded = load_instance(args.instance)
     graph = _resolve_graph(args, embedded, inst.m)
     report = build_report(inst, graph, dim_cap=args.dim_cap)
-
-    if args.output == "json":
-        _emit_json(bound_report_to_dict(report))
-    elif args.output == "csv":
-        print(bound_report_csv(report))
-    else:
-        print(bound_report_text(report))
+    _print_report(args.output, report, bound_report_text, bound_report_to_dict, bound_report_csv)
 
     exceeded = exceeded_bounds(report, args.tol)
     for name, value in exceeded:
@@ -386,10 +386,7 @@ def cmd_bound(args, parser) -> int:
 def cmd_exact(args, parser) -> int:
     inst, _ = load_instance(args.instance)
     summary = exact_reference(inst, dim_cap=args.dim_cap)
-    if args.output == "json":
-        _emit_json(report_to_dict(summary))
-    else:
-        print(spectral_text(summary))
+    _print_report(args.output, summary, spectral_text, report_to_dict)
     return EXIT_OK
 
 
@@ -399,10 +396,7 @@ def cmd_check_domination(args, parser) -> int:
     if graph is None:
         parser.error("check-domination needs a graph (embedded or --graph FILE)")
     report = check_domination(inst, graph, weighted=not args.unweighted)
-    if args.output == "json":
-        _emit_json(report_to_dict(report))
-    else:
-        print(domination_text(report))
+    _print_report(args.output, report, domination_text, report_to_dict)
     return EXIT_OK if report.satisfied else EXIT_VALIDATION
 
 
@@ -437,10 +431,7 @@ def cmd_certify(args, parser) -> int:
         c_max=args.c_max,
         beta_source=beta_source,
     )
-    if args.output == "json":
-        _emit_json(report_to_dict(report))
-    else:
-        print(certificate_text(report))
+    _print_report(args.output, report, certificate_text, report_to_dict)
     return EXIT_OK
 
 
@@ -454,32 +445,16 @@ def cmd_demo(args, parser) -> int:
     save_instance(path, inst, graph)
     print(f"wrote {path}", file=sys.stderr)
     report = build_report(inst, graph, dim_cap=args.dim_cap)
-    if args.output == "json":
-        _emit_json(bound_report_to_dict(report))
-    else:
-        print(bound_report_text(report))
+    _print_report(args.output, report, bound_report_text, bound_report_to_dict)
     return EXIT_OK
 
 
 def cmd_sweep(args, parser) -> int:
-    kinds = tuple(k for k in args.kinds.replace(",", " ").split() if k)
-    config = SweepConfig(
-        trials=args.trials,
-        seed=args.seed,
-        max_m=args.max_m,
-        max_dim=args.max_dim,
-        kinds=kinds,
-        graph_mode=args.graph_mode,
-        tol=args.tol,
-        dim_cap=args.dim_cap,
-    )
+    # a sweep option not given is absent from args, so SweepConfig's default applies
+    given = vars(args)
+    config = SweepConfig(**{f.name: given[f.name] for f in fields(SweepConfig) if f.name in given})
     result = run_sweep(config)
-    if args.output == "json":
-        _emit_json(result.summary())
-    elif args.output == "csv":
-        print(sweep_csv(result))
-    else:
-        print(sweep_text(result))
+    _print_report(args.output, result, sweep_text, SweepResult.summary, sweep_csv)
     return EXIT_OK if result.passed else EXIT_SWEEP_VIOLATION
 
 
@@ -498,6 +473,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.tol < np.inf:  # NaN, inf or a negative slack would void the bound self-check
         parser.error(f"argument --tol: must be finite and non-negative, got {args.tol!r}")
+    if args.dim_cap < 1:  # a cap below 1 skips every exact value and so the self-check
+        parser.error(f"argument --dim-cap: must be at least 1, got {args.dim_cap!r}")
     try:
         return COMMANDS[args.command](args, parser)
     except DominationError as exc:

@@ -189,7 +189,7 @@ def _read_json(path):
     text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InstanceValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 

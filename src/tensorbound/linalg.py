@@ -36,7 +36,7 @@ BATCH_ENTRIES = 2 ** 16
 # then within that distance of an eigenvalue of B.
 LANCZOS_TOL = 1e-10
 
-# Most Lanczos steps taken before giving up (the basis costs steps * n entries).
+# Most Lanczos steps taken before giving up (the basis holds this many rows of n entries).
 LANCZOS_MAX_STEPS = 300
 
 # Convergence of the extreme Ritz values is tested every this many steps.
@@ -222,15 +222,12 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q /= np.linalg.norm(q)
-    basis = np.empty((0, n), dtype=complex)
+    basis = np.empty((max_steps, n), dtype=complex)  # rows are written as steps run
     alphas: list[float] = []
     betas: list[float] = []
     estimates_met = False
     while True:
         k = len(alphas)
-        if k == len(basis):  # grow the basis by doubling, up to the step cap
-            grow = min(max(len(basis), _LANCZOS_CHECK_EVERY), max_steps - k)
-            basis = np.concatenate([basis, np.empty((grow, n), dtype=complex)])
         basis[k] = q
         w = matvec(q)
         alphas.append(float(np.vdot(q, w).real))

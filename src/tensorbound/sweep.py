@@ -54,6 +54,8 @@ class SweepConfig:
             raise ValueError(f"graph_mode must be one of {GRAPH_MODES}")
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be finite and non-negative, got {self.tol!r}")
+        if self.dim_cap < 1:
+            raise ValueError(f"dim_cap must be at least 1, got {self.dim_cap!r}")
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,25 @@ class TestBound:
         assert line.startswith("error: ") and expected in line
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("where", ["instance", "graph"])
+    def test_integer_past_the_digit_limit_names_the_file(self, demo_dir, tmp_path, where):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for an
+        # integer literal longer than Python's 4300-digit conversion limit
+        huge = "7" * 5001
+        if where == "instance":
+            path = tmp_path / "huge.json"
+            doc = json.dumps(instance_to_dict(build_demo("chsh")[0]))
+            path.write_text(doc.replace('"weights": [', f'"weights": [{huge}, ', 1))
+            proc = run_cli("bound", str(path))
+        else:
+            path = tmp_path / "graph.json"
+            path.write_text(f'{{"edges": [[0, {huge}]]}}')
+            proc = run_cli("bound", str(demo_dir / "demo-chsh.json"), "--graph", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {path}: ")
+
     def test_dim_cap_flag_disables_exact(self, demo_dir):
         proc = run_cli(
             "--dim-cap", "2",
@@ -468,3 +487,27 @@ class TestTolerance:
     def test_zero_tol_accepted(self, demo_dir):
         proc = run_cli("--tol", "0", "bound", str(demo_dir / "demo-chsh.json"))
         assert proc.returncode == 0
+
+
+class TestDimCap:
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [["bound", "INSTANCE"], ["sweep", "--trials", "2"], ["demo", "chsh", "--dir", "OUT"]],
+        ids=["bound", "sweep", "demo"],
+    )
+    def test_cap_below_one_is_a_usage_error(self, demo_dir, tmp_path, cap, command):
+        # rejected before any work: the demo writes no file
+        subs = {"INSTANCE": str(demo_dir / "demo-chsh.json"), "OUT": str(tmp_path)}
+        proc = run_cli("--dim-cap", cap, *[subs.get(a, a) for a in command])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"argument --dim-cap: must be at least 1, got {cap}" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cap_one_accepted(self, demo_dir):
+        proc = run_cli(
+            "--dim-cap", "1", "bound", str(demo_dir / "demo-chsh.json"), "--output", "json"
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["exact_norm_squared"] is None

@@ -1,6 +1,7 @@
 """Matrix-free Lanczos extremes against the dense path and the SVD oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,21 @@ def test_generic_solver_on_known_diagonal():
     assert run.lambda_min == pytest.approx(-3.0, abs=3 * LANCZOS_TOL)
     assert run.lambda_max == pytest.approx(2.0, abs=3 * LANCZOS_TOL)
     assert run.residual <= 3 * LANCZOS_TOL
+
+
+def test_basis_is_allocated_once():
+    # an evenly spaced spectrum keeps Lanczos running to the step cap; a
+    # basis grown by copies would hold its old and new rows at once
+    n = 4096
+    d = np.linspace(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        run = lanczos_extremes(lambda v: d * v, n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.steps > 160
+    assert peak < (linalg.LANCZOS_MAX_STEPS + 100) * n * 16
 
 
 class TestProvenance:

@@ -72,6 +72,14 @@ class TestConfigValidation:
     def test_accepts_zero_tol(self):
         assert SweepConfig(trials=1, seed=0, tol=0.0).tol == 0.0
 
+    @pytest.mark.parametrize("dim_cap", [0, -5])
+    def test_rejects_dim_cap_below_one(self, dim_cap):
+        with pytest.raises(ValueError, match="dim_cap must be at least 1"):
+            SweepConfig(trials=1, seed=0, dim_cap=dim_cap)
+
+    def test_accepts_dim_cap_one(self):
+        assert SweepConfig(trials=1, seed=0, dim_cap=1).dim_cap == 1
+
     def test_summary_reports_rng_scheme(self):
         result = run_sweep(SweepConfig(trials=5, seed=1))
         assert result.summary()["rng"] == "pcg64+box-muller"
