@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -246,6 +247,7 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
     return tuple(text.replace(",", " ").split())
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorbound",

@@ -158,37 +158,39 @@ class RandomEnsembleConfig:
             raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {self.kind!r}")
 
 
-def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals from uniforms; u1 shifted into (0, 1] to avoid log 0."""
-    u1 = 1.0 - rng.random(shape)
-    u2 = rng.random(shape)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-
-
-def _gaussian_complex(rng: np.random.Generator, dim: int) -> np.ndarray:
-    re = _box_muller(rng, (dim, dim))
-    im = _box_muller(rng, (dim, dim))
-    return (re + 1j * im) / math.sqrt(2.0)
-
-
-def random_operator(config: RandomEnsembleConfig) -> np.ndarray:
-    """Seeded random self-adjoint contraction or unitary involution.
+def random_operator(config):
+    """Seeded random self-adjoint contraction or unitary involution, for
+    one RandomEnsembleConfig (a matrix), or a (k, d, d) stack for a
+    sequence of configs that share one kind and one dim.
 
     contraction: symmetrized complex Gaussian rescaled to norm s with s
     uniform on [0, 1), hence always a strict contraction.
     unitary_involution: Q D Q* with Q from the QR of a complex Gaussian
     and D a uniformly random +-1 diagonal.
+
+    Each operator draws its uniforms in one call from its own
+    Generator(PCG64(seed)): 4 d^2 for the real and imaginary Gaussian
+    parts (Box-Muller: u1 shifted into (0, 1] to avoid log 0, then u2),
+    then s, or the d signs. Box-Muller, the norms and the QR then run once
+    on the whole stack; each matrix equals the one its config gives alone.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    if config.kind == "contraction":
-        g = _gaussian_complex(rng, config.dim)
-        h = (g + g.conj().T) / 2.0
-        s = rng.random()
+    single = isinstance(config, RandomEnsembleConfig)
+    configs = [config] if single else list(config)
+    if len({(c.kind, c.dim) for c in configs}) != 1:
+        raise ValueError("random_operator needs configs that share one kind and one dim")
+    kind, d = configs[0].kind, configs[0].dim
+    n, tail = 4 * d * d, 1 if kind == "contraction" else d
+    u = np.stack([np.random.Generator(np.random.PCG64(c.seed)).random(n + tail) for c in configs])
+    parts = u[:, :n].reshape(len(configs), 4, d, d)
+    normals = np.sqrt(-2.0 * np.log(1.0 - parts[:, 0::2])) * np.cos(2.0 * math.pi * parts[:, 1::2])
+    g = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    if kind == "contraction":
+        h = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
         norm = spectral_norm(h)
-        if norm == 0.0:
-            return h
-        return h * (s / norm)
-    # unitary_involution
-    q, _ = np.linalg.qr(_gaussian_complex(rng, config.dim))
-    signs = np.where(rng.random(config.dim) < 0.5, -1.0, 1.0)
-    return (q * signs) @ q.conj().T
+        scale = np.divide(u[:, -1], norm, out=np.ones(len(u)), where=norm > 0.0)  # 0 stays 0
+        ops = h * scale[:, None, None]
+    else:
+        q, _ = np.linalg.qr(g)
+        signs = np.where(u[:, n:] < 0.5, -1.0, 1.0)
+        ops = (q * signs[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
+    return ops[0] if single else ops

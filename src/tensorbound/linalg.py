@@ -140,14 +140,20 @@ def hermitian_eig(a: np.ndarray) -> SpectralSummary:
     Rejects inputs whose hermiticity defect exceeds the scaled tolerance,
     then calls LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``);
     no eigenvectors are computed. The defect ||a - a*||_F is summed over
-    row blocks of about BATCH_ENTRIES entries, so the only n x n temporary
-    is as_operator's n^2-byte finiteness mask, freed before LAPACK's copy.
+    row blocks of about BATCH_ENTRIES entries, so no n x n temporary is
+    made before LAPACK's copy. Entries are scanned for NaN/Inf (which make
+    the defect or the tolerance non-finite) only when one of those is.
     """
-    a = as_operator(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        as_operator(a)  # raises the shape error
     step = max(1, BATCH_ENTRIES // len(a))
     blocks = (a[i : i + step] - a[:, i : i + step].conj().T for i in range(0, len(a), step))
-    defect = np.sqrt(sum(np.vdot(d, d).real for d in blocks))
-    tol = HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a))
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN/Inf entries are named below
+        defect = np.sqrt(sum(np.vdot(d, d).real for d in blocks))
+        tol = HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a))
+    if not (np.isfinite(defect) and np.isfinite(tol)):
+        as_operator(a)
     if defect > tol:
         raise ValueError(
             f"matrix is not Hermitian: ||a - a*||_F = {defect:.3e} "

@@ -7,9 +7,11 @@ The exact value is checked against every bound that applies. Any
 violation signals an implementation bug, since the inequalities
 themselves are proven.
 
-Per-trial seeds are derived from (sweep seed, trial index), so results
-are independent of execution order; trials could run concurrently and
-the aggregated summary, sorted by index, would be identical.
+Per-trial seeds are derived from (sweep seed, trial index), and each
+operator gets its own seed from its trial's generator, so results do not
+depend on the order or grouping of trials. run_sweep draws the operators
+of SWEEP_CHUNK trials at a time as stacks, one random_operator call per
+(kind, dim), and then evaluates each trial alone.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ import numpy as np
 
 from .bounds import TensorSumInstance, build_report, exceeded_bounds
 from .families import ENSEMBLE_KINDS, RNG_ALGORITHM, RandomEnsembleConfig, random_operator
-from .graphs import InteractionGraph, complete_graph, random_graph_min_degree_one
+from .graphs import complete_graph, random_graph_min_degree_one
 from .linalg import DEFAULT_DIM_CAP, check_dim_cap
 
 GRAPH_MODES = ("complete", "random_min_degree_1")
+
+# Trials whose operators run_sweep draws at a time: its memory stays that of one chunk.
+SWEEP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -79,42 +84,30 @@ def trial_seed(sweep_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _random_instance(
-    rng: np.random.Generator, config: SweepConfig
-) -> TensorSumInstance:
+def _plan(config: SweepConfig, index: int):
+    """What a trial draws from its own generator, in this order: m, dim_h,
+    dim_k, the weights, 2m operator recipes (x_1..x_m, then y_1..y_m, each
+    a kind and a seed) and the graph. No operator is made here."""
+    rng = np.random.Generator(np.random.PCG64(trial_seed(config.seed, index)))
     m = int(rng.integers(2, config.max_m + 1))
-    dim_h = int(rng.integers(1, config.max_dim + 1))
-    dim_k = int(rng.integers(1, config.max_dim + 1))
+    dims = [int(rng.integers(1, config.max_dim + 1)) for _ in range(2)]  # dim_h, dim_k
     weights = rng.uniform(-2.0, 2.0, m)
-
-    def draw(dim: int) -> np.ndarray:
-        kind = config.kinds[int(rng.integers(0, len(config.kinds)))]
-        seed = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-        return random_operator(RandomEnsembleConfig(seed=seed, dim=dim, kind=kind))
-
-    x = [draw(dim_h) for _ in range(m)]
-    y = [draw(dim_k) for _ in range(m)]
-    return TensorSumInstance(x, y, weights)
-
-
-def _trial_graph(
-    rng: np.random.Generator, m: int, config: SweepConfig
-) -> InteractionGraph:
+    recipes = []
+    for dim in dims:
+        for _ in range(m):
+            kind = config.kinds[int(rng.integers(0, len(config.kinds)))]
+            seed = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+            recipes.append(RandomEnsembleConfig(seed=seed, dim=dim, kind=kind))
     if config.graph_mode == "complete":
-        return complete_graph(m)
-    return random_graph_min_degree_one(m, rng)
+        return weights, recipes, complete_graph(m)
+    return weights, recipes, random_graph_min_degree_one(m, rng)
 
 
 def _ratio(exact_sq: float, bound: float) -> float:
     return exact_sq / bound if bound > 0 else 0.0
 
 
-def run_trial(config: SweepConfig, index: int) -> TrialResult:
-    rng = np.random.Generator(np.random.PCG64(trial_seed(config.seed, index)))
-    inst = _random_instance(rng, config)
-    graph = _trial_graph(rng, inst.m, config)
-    check_dim_cap(inst.dim_h, inst.dim_k, config.dim_cap)
-    report = build_report(inst, graph, dim_cap=config.dim_cap)
+def _trial_result(config: SweepConfig, index: int, inst: TensorSumInstance, report) -> TrialResult:
     exact_sq = report.exact_norm_squared
     sparse = report.sparse_bound
     return TrialResult(
@@ -133,6 +126,33 @@ def run_trial(config: SweepConfig, index: int) -> TrialResult:
             for name, value in exceeded_bounds(report, config.tol)
         ),
     )
+
+
+def run_trial(config: SweepConfig, index):
+    """The TrialResult of one trial index, or a tuple of them, in order,
+    for a sequence of indices.
+
+    Every trial first draws its plan (_plan) from its own generator. The
+    first trial above the dimension cap raises DimensionCapError before
+    any operator is made. One random_operator call per (kind, dim) then
+    makes the operators of all the trials, and build_report evaluates each
+    trial alone, so no trial's result depends on the others.
+    """
+    indices = [index] if np.ndim(index) == 0 else list(index)
+    plans = [_plan(config, i) for i in indices]
+    groups: dict[tuple[str, int], list[RandomEnsembleConfig]] = {}
+    for _, recipes, _ in plans:
+        check_dim_cap(recipes[0].dim, recipes[-1].dim, config.dim_cap)
+        for r in recipes:
+            groups.setdefault((r.kind, r.dim), []).append(r)
+    made = {key: iter(random_operator(group)) for key, group in groups.items()}
+    results = []
+    for i, (weights, recipes, graph) in zip(indices, plans):
+        ops = [next(made[r.kind, r.dim]) for r in recipes]
+        inst = TensorSumInstance(ops[: len(weights)], ops[len(weights) :], weights)
+        report = build_report(inst, graph, dim_cap=config.dim_cap)
+        results.append(_trial_result(config, i, inst, report))
+    return results[0] if np.ndim(index) == 0 else tuple(results)
 
 
 @dataclass(frozen=True)
@@ -173,6 +193,7 @@ class SweepResult:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    results = [run_trial(config, i) for i in range(config.trials)]
-    results.sort(key=lambda t: t.index)
+    results = []
+    for start in range(0, config.trials, SWEEP_CHUNK):
+        results.extend(run_trial(config, range(start, min(start + SWEEP_CHUNK, config.trials))))
     return SweepResult(config=config, trials=tuple(results))

@@ -467,6 +467,34 @@ class TestSweep:
         assert "exceeds complete bound" in capsys.readouterr().out
 
 
+class TestRepeatedMain:
+    """main builds its parser once per process; a second call must not see
+    anything of the first."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                ("sweep", "--trials", "2", "--max-m", "3", "--output", "json"),
+                ("sweep", "--trials", "2", "--output", "json"),
+            ),
+            (("bound", "{star}", "--no-graph"), ("bound", "{star}")),
+        ],
+        ids=["sweep", "bound"],
+    )
+    def test_second_call_equals_a_fresh_process(self, demo_dir, capsys, first, second):
+        star = str(demo_dir / "demo-star-5.json")
+        first, second = ([a.format(star=star) for a in argv] for argv in (first, second))
+        cli.main(first)
+        capsys.readouterr()
+        code = cli.main(second)
+        alone = run_cli(*second)
+        assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
     def test_non_finite_or_negative_tol_is_a_usage_error(self, tmp_path, tol):

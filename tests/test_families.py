@@ -18,6 +18,7 @@ from tensorbound import (
     spectral_norm,
     validate,
 )
+from tensorbound.families import ENSEMBLE_KINDS
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -249,6 +250,36 @@ class TestRandomOperator:
         for kind in ("contraction", "unitary_involution"):
             op = random_operator(RandomEnsembleConfig(seed=7, dim=3, kind=kind))
             assert validate(op).is_contraction
+
+    @given(
+        st.sampled_from(ENSEMBLE_KINDS),
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_is_bitwise_the_per_config_calls(self, kind, dim, stack_seeds):
+        configs = [RandomEnsembleConfig(seed=s, dim=dim, kind=kind) for s in stack_seeds]
+        stack = random_operator(configs)
+        assert stack.shape == (len(configs), dim, dim)
+        for config, op in zip(configs, stack):
+            assert op.tobytes() == random_operator(config).tobytes()
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            [],
+            [RandomEnsembleConfig(1, 2, "contraction"), RandomEnsembleConfig(2, 2, "unitary_involution")],
+            [RandomEnsembleConfig(1, 2, "contraction"), RandomEnsembleConfig(2, 3, "contraction")],
+        ],
+        ids=["empty", "mixed-kinds", "mixed-dims"],
+    )
+    def test_stack_needs_one_kind_and_one_dim(self, configs):
+        with pytest.raises(ValueError, match="one kind and one dim"):
+            random_operator(configs)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="kind"):

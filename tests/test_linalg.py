@@ -299,6 +299,17 @@ class TestHermitianEigRowBlocks:
         with pytest.raises(ValueError, match="finite"):
             hermitian_eig(a)
 
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("where", ["symmetric", "diagonal"])
+    def test_rejects_hermitian_placed_inf(self, n, where):
+        # the entries stay Hermitian, so only the finiteness scan can catch them
+        a = random_hermitian(np.random.default_rng(n + 3), n)
+        i, j = (n - 1, n // 2) if where == "symmetric" else (n // 2, n // 2)
+        a[i, j] = a[j, i] = np.inf
+        with pytest.raises(ValueError) as err:
+            hermitian_eig(a)
+        assert str(err.value) == "operator entries must be finite (no NaN/Inf)"
+
 
 class TestBatches:
     @pytest.mark.parametrize("count, dim", [(0, 3), (1, 3), (12, 3), (12, 96), (7, 256), (5000, 4)])
