@@ -17,7 +17,7 @@ and error messages are 1-based to match the graph module.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +69,25 @@ class DominationError(ValueError):
         self.report = report
 
 
+def as_weights(weights, m: int | None = None) -> np.ndarray:
+    """``m`` weights (any nonempty number when None) as finite floats with 4 m
+    (sum |c_i|)^2 finite, which bounds every value computed from them."""
+    try:
+        w = np.asarray(weights, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise InstanceValidationError("weights must be finite reals") from None
+    if m is not None and w.shape != (m,):
+        raise InstanceValidationError(f"expected {m} weights, got shape {w.shape}")
+    if w.ndim != 1 or w.size < 1:
+        raise InstanceValidationError(f"weights must be a nonempty vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise InstanceValidationError("weights must be finite reals")
+    total = sum(map(abs, w.tolist()))  # Python floats overflow to inf without a warning
+    if not math.isfinite(4 * w.size * total * total):
+        raise InstanceValidationError("weights too large: 4 m (sum |c_i|)^2 overflows")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class TensorSumInstance:
     """A weighted tensor-sum problem: x_i on H, y_i on K, real weights c_i.
@@ -76,7 +95,7 @@ class TensorSumInstance:
     Every operator must be a self-adjoint contraction (checked once, on
     construction). ``x`` and ``y`` are stored as read-only complex stacks
     of shape (m, dim_h, dim_h) and (m, dim_k, dim_k). Weights default to
-    all ones and are otherwise unconstrained finite reals.
+    all ones and are otherwise checked by as_weights.
     """
 
     x: np.ndarray
@@ -91,14 +110,7 @@ class TensorSumInstance:
                 f"need equally many x and y operators, got {len(x)} and {len(y)}"
             )
         m = len(x)
-        try:
-            w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            raise InstanceValidationError("weights must be finite reals") from None
-        if w.shape != (m,):
-            raise InstanceValidationError(f"expected {m} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise InstanceValidationError("weights must be finite reals")
+        w = np.ones(m) if weights is None else as_weights(weights, m)
         for side, ops in (("x", x), ("y", y)):
             dim = ops[0].shape[0]
             # validate up to the first dimension mismatch: a defect before it is reported first
@@ -139,22 +151,13 @@ class TensorSumInstance:
 
 @dataclass(frozen=True, eq=False)
 class PhiTable:
-    """Symmetric table of pairwise interaction magnitudes with the
-    commutator/anticommutator norm breakdown that produced each entry.
-
-    Arrays are (m, m), 0-based, with zero diagonals.
+    """Symmetric (m, m) table of the pairwise interaction magnitudes phi_ij,
+    0-based, with a zero diagonal: ``values[i - 1, j - 1]`` is phi for the
+    1-based pair (i, j).
     """
 
     m: int
     values: np.ndarray
-    comm_x: np.ndarray
-    comm_y: np.ndarray
-    anti_x: np.ndarray
-    anti_y: np.ndarray
-
-    def phi(self, i: int, j: int) -> float:
-        """Entry for a 1-based pair (i, j), i != j."""
-        return float(self.values[i - 1, j - 1])
 
 
 def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
@@ -182,21 +185,9 @@ def phi_table(inst: TensorSumInstance) -> PhiTable:
     upper = np.triu_indices(m, k=1)
     comm_x, anti_x = _pair_norms(inst.x, *upper)
     comm_y, anti_y = _pair_norms(inst.y, *upper)
-    phi = 0.5 * (comm_x * comm_y + anti_x * anti_y)
-
-    def symmetric(values: np.ndarray) -> np.ndarray:
-        table = np.zeros((m, m))
-        table[upper] = values
-        return table + table.T
-
-    return PhiTable(
-        m=m,
-        values=symmetric(phi),
-        comm_x=symmetric(comm_x),
-        comm_y=symmetric(comm_y),
-        anti_x=symmetric(anti_x),
-        anti_y=symmetric(anti_y),
-    )
+    table = np.zeros((m, m))
+    table[upper] = 0.5 * (comm_x * comm_y + anti_x * anti_y)
+    return PhiTable(m=m, values=table + table.T)
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -300,18 +291,28 @@ def exact_reference(
     B_c is filled in square tiles of x entries, each of at most
     max(BATCH_ENTRIES, dim_k^2) entries: sum_i kron(x_i[r, s], y_i) * c_i,
     summed from zeros in term order, so every entry is bitwise that of the
-    full-size sum. Peak memory is B_c plus LAPACK's copy, 2 n^2 * 16 bytes.
+    full-size sum. Only tiles on and below the block diagonal are computed;
+    then the upper triangle is made the conjugate of the lower one, and the
+    diagonal real, which is all eigvalsh reads: B_c is Hermitian by
+    construction. Peak memory is B_c plus LAPACK's copy, 2 n^2 * 16 bytes.
     """
     dh, dk = inst.dim_h, inst.dim_k
     check_dim_cap(dh, dk, dim_cap)
     size = min(dh, max(1, int(BATCH_ENTRIES**0.5) // dk))  # one tile up to n = 256
     tiles = [slice(i, i + size) for i in [*range(0, dh - size, size), dh - size]]
-    b = np.empty((dh * dk, dh * dk), dtype=complex)
-    for r, s in itertools.product(tiles, tiles):  # an overlapping last tile rewrites equal values
-        tile = np.zeros((size * dk, size * dk), dtype=complex)
-        for c, xi, yi in zip(inst.weights, inst.x, inst.y):
-            tile += kron(xi[r, s], yi, dim_cap=dim_cap) * c
-        b.reshape(dh, dk, dh, dk)[r, :, s, :] = tile.reshape(size, dk, size, dk)
+    n = dh * dk
+    b = np.empty((n, n), dtype=complex)
+    for k, r in enumerate(tiles):
+        for s in tiles[: k + 1]:  # an overlapping last tile rewrites equal values
+            tile = np.zeros((size * dk, size * dk), dtype=complex)
+            for c, xi, yi in zip(inst.weights, inst.x, inst.y):
+                tile += kron(xi[r, s], yi, dim_cap=dim_cap) * c
+            b.reshape(dh, dk, dh, dk)[r, :, s, :] = tile.reshape(size, dk, size, dk)
+    step = max(1, BATCH_ENTRIES // n)
+    for i in range(0, n, step):
+        rows = b[i : i + step, i:]
+        np.copyto(rows, b[i:, i : i + step].conj().T, where=np.arange(n - i) > np.arange(len(rows))[:, None])
+    b.reshape(-1)[:: n + 1].imag = 0.0
     return hermitian_eig(b)
 
 

@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .bounds import TensorSumInstance, require_domination
+from .bounds import as_weights as _as_weights  # the weights rule TensorSumInstance applies
 from .graphs import InteractionGraph, graph_constant
 
 # Where the counting rule may meet the excess with equality, it does so with
@@ -30,15 +31,6 @@ EQUALITY_GUARD = 1e-9
 
 DOMINATION_VERIFIED = "verified"
 DOMINATION_ASSERTED = "asserted, not verified"
-
-
-def _as_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError(f"weights must be a nonempty vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite reals")
-    return w
 
 
 def _fewest_heavy(target: float, caps: np.ndarray, t: float, slack: float) -> int:
@@ -158,6 +150,8 @@ def build_certificate_report(
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError(f"observed value must be finite, got {beta}")
+    if not math.isfinite(beta * beta + float(np.sum(np.abs(w))) ** 2):  # float * gives inf, ** raises
+        raise ValueError(f"observed value {beta:.12g} is too large: beta^2 + (sum |c_i|)^2 overflows")
     sum_c_sq = float(np.sum(w ** 2))
     excess = max(0.0, beta ** 2 - sum_c_sq)
 
@@ -178,6 +172,8 @@ def build_certificate_report(
     def count(t: float) -> CountingBound:
         if not t > 0:
             raise ValueError(f"threshold must be positive, got {t}")
+        if not math.isfinite(excess / t):
+            raise ValueError(f"threshold {t:.12g} is too small: excess/t overflows")
         a = np.abs(w)
         slack = EQUALITY_GUARD * (beta ** 2 + float(np.sum(a)) ** 2)
         products = np.outer(a, a)
@@ -212,6 +208,9 @@ def build_certificate_report(
                 f"|c| exceeds c_max = {c_max:.12g} at index "
                 f"{too_big[0] + 1} (|c| = {abs(w[too_big[0]]):.12g})"
             )
+        finite = math.isfinite(c_max) and math.isfinite(phi_threshold)  # inf certifies no pair
+        if finite and not math.isfinite(c_max * c_max * phi_threshold):
+            raise ValueError("effective threshold c_max^2 * phi_threshold overflows")
         # PhiThresholdBound's fields after c_max are CountingBound's, in order.
         variant = PhiThresholdBound(
             float(phi_threshold), float(c_max), *astuple(count(c_max ** 2 * phi_threshold))

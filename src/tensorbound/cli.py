@@ -221,7 +221,7 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))  # inf or NaN: ValueError, exit 1
 
 
 def _print_report(output: str, report, to_text, to_json, to_csv=None) -> None:

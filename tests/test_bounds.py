@@ -23,10 +23,12 @@ from tensorbound import (
     InstanceValidationError,
     RandomEnsembleConfig,
     TensorSumInstance,
+    anticommutator,
     chain_graph,
     check_domination,
     chsh_identity_residual,
     clifford_generators,
+    commutator,
     complete_graph,
     exact_reference,
     kron,
@@ -34,12 +36,15 @@ from tensorbound import (
     phi_table,
     random_operator,
     require_domination,
+    spectral_norm,
     two_term_sharpness,
 )
 from tensorbound import bounds
 from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
 from tensorbound.demos import build_demo
+from tensorbound.families import CONTRACTION_TOL
 from tensorbound.graphs import InteractionGraph, random_graph_min_degree_one
+from tensorbound.linalg import HERM_TOL_FACTOR
 
 SX = pauli("x")
 SY = pauli("y")
@@ -125,6 +130,17 @@ class TestInstanceValidation:
             TensorSumInstance([SZ], [SZ], [1.0, 2.0])
         with pytest.raises(InstanceValidationError, match="finite"):
             TensorSumInstance([SZ], [SZ], [np.inf])
+
+    @pytest.mark.parametrize("weights", [[1e200, 1.0], [1e154, 1e154], [-1.5e308, 1e308]])
+    def test_rejects_weights_whose_bounds_overflow(self, weights):
+        with pytest.raises(InstanceValidationError, match=r"weights too large: 4 m \(sum \|c_i\|\)\^2"):
+            TensorSumInstance([SZ, SX], [SZ, SX], weights)
+
+    def test_accepts_the_largest_weights_whose_bounds_are_finite(self):
+        c = math.sqrt(np.finfo(float).max / 8) / 2  # 4 m (2c)^2 = max / 2 at m = 2
+        report = build_report(TensorSumInstance([SZ, SX], [SZ, SX], [c, c]))
+        assert math.isfinite(report.complete_bound)
+        assert math.isfinite(report.exact_norm_squared)
 
     def test_default_weights_are_ones(self):
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
@@ -231,32 +247,35 @@ class TestValidationPassCount:
 
 class TestPhiTable:
     def test_pauli_pair(self):
+        # Z and X anticommute: ||[Z,X]|| = 2 and ||{Z,X}|| = 0, so phi = (2*2 + 0)/2
+        assert spectral_norm(commutator(SZ, SX)) == 2.0
+        assert spectral_norm(anticommutator(SZ, SX)) == 0.0
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
-        table = phi_table(inst)
-        assert table.phi(1, 2) == 2.0
-        assert table.comm_x[0, 1] == 2.0
-        assert table.anti_x[0, 1] == 0.0
+        assert phi_table(inst).values[0, 1] == 2.0
 
     def test_identity_pair(self):
         eye = np.eye(2, dtype=complex)
         inst = TensorSumInstance([eye, eye], [eye, eye])
-        assert phi_table(inst).phi(1, 2) == 2.0  # (0 + 2*2)/2
+        assert phi_table(inst).values[0, 1] == 2.0  # (0 + 2*2)/2
 
     def test_zero_operator_pair(self):
         zero = np.zeros((2, 2), dtype=complex)
         inst = TensorSumInstance([SZ, zero], [SZ, zero])
-        assert phi_table(inst).phi(1, 2) == 0.0
+        assert phi_table(inst).values[0, 1] == 0.0
 
     def test_symmetry_and_recombination(self):
         inst = random_instance(99, m=4)
         table = phi_table(inst)
+        assert table.m == 4
+        assert np.all(np.diag(table.values) == 0.0)
+
+        def norms(ops, i, j):
+            return spectral_norm(commutator(ops[i], ops[j])), spectral_norm(anticommutator(ops[i], ops[j]))
+
         for i, j in itertools.combinations(range(4), 2):
             assert table.values[i, j] == table.values[j, i]
-            recombined = 0.5 * (
-                table.comm_x[i, j] * table.comm_y[i, j]
-                + table.anti_x[i, j] * table.anti_y[i, j]
-            )
-            assert abs(table.values[i, j] - recombined) <= 1e-12
+            (cx, ax), (cy, ay) = norms(inst.x, i, j), norms(inst.y, i, j)
+            assert abs(table.values[i, j] - 0.5 * (cx * cy + ax * ay)) <= 1e-12
 
     def test_matches_brute_force(self):
         inst = random_instance(123, m=4)
@@ -333,15 +352,14 @@ class TestCompleteBound:
         )
 
     def test_anticommuting_specialization_drops_anti_terms(self):
-        # when every anti_x * anti_y product is exactly zero the bound
+        # when every anticommutator norm product is exactly zero the bound
         # collapses to m + (1/2) sum of commutator norm products
         gens = clifford_generators(4)
         inst = TensorSumInstance(gens, gens)
-        table = phi_table(inst)
         reference = float(inst.m)
         for i, j in itertools.combinations(range(4), 2):
-            assert table.anti_x[i, j] * table.anti_y[i, j] == 0.0
-            reference += 0.5 * (table.comm_x[i, j] * table.comm_y[i, j])
+            assert spectral_norm(anticommutator(gens[i], gens[j])) ** 2 == 0.0
+            reference += 0.5 * spectral_norm(commutator(gens[i], gens[j])) ** 2
         assert build_report(inst).complete_bound == reference
 
 
@@ -499,7 +517,7 @@ class TestSparseBound:
         graph = chain_graph(4)
         table = phi_table(inst)
         expected = 4.0 + (2 * 4 - 3) * sum(
-            table.phi(i, i + 1) for i in range(1, 4)
+            table.values[i - 1, i] for i in range(1, 4)
         )
         report = build_report(inst, graph)
         assert report.sparse_bound == pytest.approx(expected, rel=1e-12)
@@ -517,7 +535,67 @@ class TestSparseBound:
         assert exact_reference(inst).spectral_norm ** 2 == pytest.approx(4.0, abs=1e-12)
 
 
+def edge_operator(rng, dim):
+    """A random operator at 0.9 of both acceptance limits: spectral norm
+    1 + 0.9 CONTRACTION_TOL, and hermiticity defect ||a - a*||_F at 0.9 of
+    its tolerance. The skew part is Frobenius-orthogonal to the Hermitian
+    part, so it only raises ||a||_F, and moves the norm at second order."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = g + g.conj().T
+    h *= (1 + 0.9 * CONTRACTION_TOL) / np.abs(np.linalg.eigvalsh(h)).max()
+    k = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    skew = k - k.conj().T  # a - a* = 2 * skew
+    tol = HERM_TOL_FACTOR * max(1.0, np.linalg.norm(h))
+    return h + skew * (0.9 * tol / np.linalg.norm(2 * skew))
+
+
+class TestAcceptanceEdges:
+    @given(seeds, st.integers(2, 5), st.integers(1, 4), st.integers(1, 4), st.integers(-6, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_instances_at_the_acceptance_limits_keep_every_bound(self, seed, m, dim_h, dim_k, k):
+        rng = np.random.default_rng(seed)
+        x = [edge_operator(rng, dim_h) for _ in range(m)]
+        y = [edge_operator(rng, dim_k) for _ in range(m)]
+        inst = TensorSumInstance(x, y, rng.uniform(-2, 2, m) * 10.0**k)
+        report = build_report(inst, random_graph_min_degree_one(m, rng))
+        assert report.exact_norm_squared is not None
+        assert exceeded_bounds(report, 1e-8) == []
+
+
 class TestExactReference:
+    def test_terms_at_the_hermiticity_tolerance_are_accepted(self):
+        # Z + 4.5e-11 i X passes validation (defect 1.27e-10 against 1.41e-10),
+        # while its square a (x) a, assembled in full, carries 2.55e-10 against 2.0e-10
+        a = SZ + 4.5e-11j * SX
+        summary = exact_reference(TensorSumInstance([a], [a]))
+        assert summary.spectral_norm == pytest.approx(1.0, abs=1e-9)
+        expected = np.linalg.eigvalsh(dense_kron_sum([a], [a], [1.0]))
+        assert summary.eigenvalues.tobytes() == expected.tobytes()
+
+    def test_assembled_matrix_is_hermitian(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(bounds, "hermitian_eig", lambda b: seen.append(b.copy()))
+        rng = np.random.default_rng(3)
+        inst = TensorSumInstance(
+            [edge_operator(rng, 7) for _ in range(3)], [edge_operator(rng, 40) for _ in range(3)]
+        )
+        exact_reference(inst)
+        (b,) = seen
+        assert np.array_equal(b, b.conj().T)
+
+    # one entry; tiles of 6 and of 2 x entries, each with an overlapping last tile
+    @pytest.mark.parametrize("dim_h, dim_k", [(1, 1), (7, 40), (3, 100)])
+    def test_eigenvalues_bitwise_equal_with_skew_terms(self, dim_h, dim_k):
+        # operators at the hermiticity tolerance: eigvalsh reads only the
+        # lower triangle of the full sum, which exact_reference reproduces
+        rng = np.random.default_rng(dim_h * dim_k)
+        weights = rng.uniform(-2, 2, 3)
+        x = [edge_operator(rng, dim_h) for _ in weights]
+        y = [edge_operator(rng, dim_k) for _ in weights]
+        expected = np.linalg.eigvalsh(dense_kron_sum(x, y, weights))
+        got = exact_reference(TensorSumInstance(x, y, weights)).eigenvalues
+        assert got.tobytes() == expected.tobytes()
+
     def test_two_spin_norm(self):
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
         assert exact_reference(inst).spectral_norm == pytest.approx(2.0, abs=1e-12)

@@ -196,6 +196,12 @@ class TestCounting:
         bound = report_count(2.5, [1, 1, 1], math.inf, star_graph(3))
         assert (bound.pairs, bound.edges) == (0, 0)
 
+    def test_rejects_threshold_whose_ratio_overflows(self):
+        with pytest.raises(ValueError, match="threshold .* is too small: excess/t overflows"):
+            report_count(2.0, [1, 1], 1e-320)
+        # with no excess the ratio is 0 at any threshold
+        assert report_count(1.0, [1, 1], 1e-320).pairs_raw == 0.0
+
     def test_monotone_in_threshold(self):
         weights = [1.0, 1.0, 1.0]
         previous = None
@@ -260,6 +266,34 @@ class TestPhiThreshold:
     def test_effective_threshold(self):
         bound = report_variant(3.0, [0.5, 0.5, 0.5], 1.0, 0.5)
         assert bound.effective_threshold == pytest.approx(0.25)
+
+
+class TestOverflow:
+    """Finite inputs whose derived values overflow are refused by name."""
+
+    def test_beta_whose_square_overflows(self):
+        with pytest.raises(ValueError, match=r"observed value 1e\+200 is too large"):
+            build_certificate_report(1e200, weights=[1, 1])
+
+    def test_beta_whose_slack_scale_overflows(self):
+        root = math.sqrt(np.finfo(float).max)
+        # beta^2 and (sum |c|)^2 = max / 16 are finite, their sum is not
+        with pytest.raises(ValueError, match="beta\\^2 \\+ \\(sum \\|c_i\\|\\)\\^2 overflows"):
+            build_certificate_report(root * 0.999999, weights=[root / 8, root / 8])
+
+    @pytest.mark.parametrize("c_max, phi_threshold", [(1e200, 1.0), (1e5, 1e300)])
+    def test_effective_threshold_that_overflows(self, c_max, phi_threshold):
+        with pytest.raises(ValueError, match="effective threshold c_max\\^2 \\* phi_threshold overflows"):
+            report_variant(2.0, [1, 1], phi_threshold, c_max)
+
+    @pytest.mark.parametrize("c_max, phi_threshold", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_variant_input_certifies_nothing(self, c_max, phi_threshold):
+        variant = report_variant(2.0, [1, 1], phi_threshold, c_max)
+        assert (variant.effective_threshold, variant.pairs, variant.pairs_raw) == (math.inf, 0, 0.0)
+
+    def test_weights_whose_bounds_overflow(self):
+        with pytest.raises(ValueError, match="weights too large"):
+            build_certificate_report(2.0, weights=[1e200, 1.0])
 
 
 class TestReportBuilder:

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from oracles import brute_phi_breakdown, count_pairs_at_least
-from tensorbound import TensorSumInstance, cli, instance_to_dict, save_instance, sweep
+from tensorbound import TensorSumInstance, cli, instance_to_dict, pauli, save_instance, sweep
 from tensorbound.demos import build_demo
 from test_bounds import small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
@@ -34,6 +34,13 @@ def parse_kv(text):
             key, _, value = line.partition(":")
             out[key.strip()] = value.strip()
     return out
+
+
+def instance_file(tmp_path, inst, **changes):
+    """Write ``inst`` as an instance file, with top-level fields replaced."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({**instance_to_dict(inst), **changes}))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +238,13 @@ class TestExact:
         assert proc.returncode == 1
         assert "cap" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["bound", "exact", "certify"])
+    def test_terms_at_the_hermiticity_tolerance_are_accepted(self, tmp_path, command):
+        a = pauli("z") + 4.5e-11j * pauli("x")
+        proc = run_cli(command, instance_file(tmp_path, TensorSumInstance([a], [a])))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 class TestCheckDomination:
     def test_violated_exits_one(self, demo_dir):
@@ -408,6 +422,40 @@ class TestCertify:
         )
         assert proc.returncode == 1
         assert "edge domination fails" in proc.stderr
+
+
+class TestOutsideNumbers:
+    """Finite inputs whose derived values overflow end in a named error and
+    exit 1: no traceback, and no inf, nan or Infinity on stdout."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("certify", "--weights", "1,1", "--beta", "1e200"),
+            ("certify", "--weights", "1,1", "--beta", "2", "--phi-threshold", "1", "--c-max", "1e200"),
+            ("certify", "--weights", "1e200,1", "--beta", "2"),
+            ("certify", "--weights", "1,1", "--beta", "2", "--phi-threshold", "1e300",
+             "--c-max", "1e5", "--output", "json"),
+            ("certify", "--weights", "1,1", "--beta", "2", "-t", "1e-320"),
+            ("certify", "--weights", "1,1", "--beta", "2", "-t", "inf", "--output", "json"),
+            ("bound", "WEIGHTS_FILE"),
+            ("certify", "WEIGHTS_FILE"),
+            ("certify", "WEIGHTS_FILE", "--beta", "2"),
+            ("exact", "WEIGHTS_FILE"),
+        ],
+    )
+    def test_refused_by_name(self, tmp_path, args):
+        path = instance_file(tmp_path, build_demo("two-spin")[0], weights=[1e200, 1.0])
+        proc = run_cli(*(path if a == "WEIGHTS_FILE" else a for a in args))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert not any(word in proc.stdout.lower() for word in ("inf", "nan"))
+
+    def test_infinite_threshold_in_text_certifies_no_pair(self):
+        proc = run_cli("certify", "--weights", "1,1", "--beta", "2", "-t", "inf")
+        assert proc.returncode == 0
+        assert "threshold inf: pairs >= 0 (excess/t 0)" in proc.stdout
 
 
 class TestDemo:
