@@ -141,7 +141,8 @@ def build_certificate_report(
     edge domination verified against ``instance`` or asserted by the
     caller), the edges are counted by the same rule with target
     excess/C(G) and caps 4|c_i c_j| over the edges, since the graph
-    bound is stated in phi and phi_ij <= 4.
+    bound is stated in phi and phi_ij <= 4. Every threshold,
+    ``phi_threshold`` and ``c_max`` must be positive and finite.
     """
     if (weights is None) == (instance is None):
         raise ValueError("provide exactly one of weights or instance")
@@ -150,14 +151,17 @@ def build_certificate_report(
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError(f"observed value must be finite, got {beta}")
-    if not math.isfinite(beta * beta + float(np.sum(np.abs(w))) ** 2):  # float * gives inf, ** raises
+    a = np.abs(w)
+    size = beta * beta + float(np.sum(a)) ** 2  # float * gives inf, ** raises
+    if not math.isfinite(size):
         raise ValueError(f"observed value {beta:.12g} is too large: beta^2 + (sum |c_i|)^2 overflows")
+    slack = EQUALITY_GUARD * size
     sum_c_sq = float(np.sum(w ** 2))
     excess = max(0.0, beta ** 2 - sum_c_sq)
+    products = np.outer(a, a)
+    pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
 
-    aggregate_edges = None
-    c_of_g = None
-    domination = None
+    aggregate_edges = c_of_g = domination = None
     if g is not None:
         if instance is not None:
             require_domination(instance, g)
@@ -168,29 +172,22 @@ def build_certificate_report(
             domination = DOMINATION_ASSERTED
         c_of_g = graph_constant(g)
         aggregate_edges = excess / c_of_g
+        edge_caps = 4.0 * products[np.triu(g.adjacency) > 0]
+
+    def require_positive_finite(name: str, v: float) -> None:
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
     def count(t: float) -> CountingBound:
-        if not t > 0:
-            raise ValueError(f"threshold must be positive, got {t}")
+        require_positive_finite("threshold", t)
         if not math.isfinite(excess / t):
             raise ValueError(f"threshold {t:.12g} is too small: excess/t overflows")
-        a = np.abs(w)
-        slack = EQUALITY_GUARD * (beta ** 2 + float(np.sum(a)) ** 2)
-        products = np.outer(a, a)
-        edges_raw = None
-        edges = None
+        edges_raw = edges = None
         if g is not None:
             edges_raw = excess / (c_of_g * t)
-            edge_caps = 4.0 * products[np.triu(g.adjacency) > 0]
             edges = _fewest_heavy(excess / c_of_g, edge_caps, t, slack)
-        pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
-        return CountingBound(
-            threshold=float(t),
-            pairs_raw=excess / t,
-            pairs=_fewest_heavy(excess, pair_caps, t, slack),
-            edges_raw=edges_raw,
-            edges=edges,
-        )
+        pairs = _fewest_heavy(excess, pair_caps, t, slack)
+        return CountingBound(float(t), excess / t, pairs, edges_raw, edges)
 
     counting = tuple(count(t) for t in thresholds)
 
@@ -198,23 +195,19 @@ def build_certificate_report(
     if phi_threshold is not None:
         if c_max is None:
             raise ValueError("phi_threshold requires c_max")
-        if not phi_threshold > 0:
-            raise ValueError(f"phi threshold must be positive, got {phi_threshold}")
-        if not c_max > 0:
-            raise ValueError(f"c_max must be positive, got {c_max}")
-        too_big = np.flatnonzero(np.abs(w) > c_max)
+        require_positive_finite("phi threshold", phi_threshold)
+        require_positive_finite("c_max", c_max)
+        too_big = np.flatnonzero(a > c_max)
         if too_big.size:
             raise ValueError(
                 f"|c| exceeds c_max = {c_max:.12g} at index "
-                f"{too_big[0] + 1} (|c| = {abs(w[too_big[0]]):.12g})"
+                f"{too_big[0] + 1} (|c| = {a[too_big[0]]:.12g})"
             )
-        finite = math.isfinite(c_max) and math.isfinite(phi_threshold)  # inf certifies no pair
-        if finite and not math.isfinite(c_max * c_max * phi_threshold):
+        if not math.isfinite(c_max * c_max * phi_threshold):
             raise ValueError("effective threshold c_max^2 * phi_threshold overflows")
         # PhiThresholdBound's fields after c_max are CountingBound's, in order.
-        variant = PhiThresholdBound(
-            float(phi_threshold), float(c_max), *astuple(count(c_max ** 2 * phi_threshold))
-        )
+        effective = count(c_max ** 2 * phi_threshold)
+        variant = PhiThresholdBound(float(phi_threshold), float(c_max), *astuple(effective))
 
     return CertificateReport(
         beta=beta,

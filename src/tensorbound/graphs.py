@@ -110,21 +110,13 @@ def random_graph_min_degree_one(m: int, rng: np.random.Generator) -> Interaction
     1/2, then every isolated vertex is wired to a random other vertex."""
     if m < 2:
         raise ValueError("need at least 2 vertices for min degree 1")
-    edges = set()
+    edges = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if rng.random() < 0.5}
+    covered = {v for edge in edges for v in edge}
     for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if rng.random() < 0.5:
-                edges.add((i, j))
-    degree = {i: 0 for i in range(1, m + 1)}
-    for i, j in edges:
-        degree[i] += 1
-        degree[j] += 1
-    for i in range(1, m + 1):
-        if degree[i] == 0:
+        if i not in covered:
             j = i
             while j == i:
                 j = int(rng.integers(1, m + 1))
             edges.add((min(i, j), max(i, j)))
-            degree[i] += 1
-            degree[j] += 1
+            covered.add(j)
     return InteractionGraph(m, edges)

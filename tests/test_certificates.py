@@ -189,12 +189,13 @@ class TestCounting:
             report_count(2.0, [1, 1], -1.0)
 
     def test_rejects_nan_threshold(self):
-        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+        with pytest.raises(ValueError, match="threshold must be positive and finite, got nan"):
             report_count(2.5, [1, 1, 1], math.nan)
 
     def test_infinite_threshold_certifies_nothing(self):
-        bound = report_count(2.5, [1, 1, 1], math.inf, star_graph(3))
-        assert (bound.pairs, bound.edges) == (0, 0)
+        # an infinite threshold is refused, so no report holds an inf
+        with pytest.raises(ValueError, match="threshold must be positive and finite, got inf"):
+            report_count(2.5, [1, 1, 1], math.inf, star_graph(3))
 
     def test_rejects_threshold_whose_ratio_overflows(self):
         with pytest.raises(ValueError, match="threshold .* is too small: excess/t overflows"):
@@ -258,9 +259,9 @@ class TestPhiThreshold:
             report_variant(2.0, [1.0, 1.5], 1.0, 1.0)
 
     def test_rejects_nan_phi_threshold_and_c_max(self):
-        with pytest.raises(ValueError, match="phi threshold must be positive, got nan"):
+        with pytest.raises(ValueError, match="phi threshold must be positive and finite, got nan"):
             report_variant(2.5, [1, 1, 1], math.nan, 1.0)
-        with pytest.raises(ValueError, match="c_max must be positive, got nan"):
+        with pytest.raises(ValueError, match="c_max must be positive and finite, got nan"):
             report_variant(2.5, [1, 1, 1], 0.5, math.nan)
 
     def test_effective_threshold(self):
@@ -288,8 +289,9 @@ class TestOverflow:
 
     @pytest.mark.parametrize("c_max, phi_threshold", [(math.inf, 1.0), (1.0, math.inf)])
     def test_infinite_variant_input_certifies_nothing(self, c_max, phi_threshold):
-        variant = report_variant(2.0, [1, 1], phi_threshold, c_max)
-        assert (variant.effective_threshold, variant.pairs, variant.pairs_raw) == (math.inf, 0, 0.0)
+        # an infinite input is refused by name, so no report holds an inf
+        with pytest.raises(ValueError, match="must be positive and finite, got inf"):
+            report_variant(2.0, [1, 1], phi_threshold, c_max)
 
     def test_weights_whose_bounds_overflow(self):
         with pytest.raises(ValueError, match="weights too large"):

@@ -361,7 +361,7 @@ class TestCertify:
     def test_nan_threshold_exits_one(self, flags):
         proc = run_cli("certify", "--weights", "1,1,1", "--beta", "2.5", *flags)
         assert proc.returncode == 1
-        assert "must be positive, got nan" in proc.stderr
+        assert "must be positive and finite, got nan" in proc.stderr
         assert proc.stdout == ""
 
     def test_usage_errors_exit_two(self, demo_dir):
@@ -453,9 +453,23 @@ class TestOutsideNumbers:
         assert not any(word in proc.stdout.lower() for word in ("inf", "nan"))
 
     def test_infinite_threshold_in_text_certifies_no_pair(self):
+        # refused in text as under --output json: no report holds an inf
         proc = run_cli("certify", "--weights", "1,1", "--beta", "2", "-t", "inf")
-        assert proc.returncode == 0
-        assert "threshold inf: pairs >= 0 (excess/t 0)" in proc.stdout
+        assert proc.returncode == 1
+        assert proc.stderr == "error: threshold must be positive and finite, got inf\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("-t", "inf"), ("--threshold=-inf",), ("--phi-threshold", "inf", "--c-max", "1"),
+         ("--phi-threshold", "1", "--c-max", "inf")],
+    )
+    def test_formats_agree_on_refused_certificate_input(self, flags):
+        args = ("certify", "--weights", "1,1", "--beta", "2", *flags)
+        text, as_json = run_cli(*args), run_cli(*args, "--output", "json")
+        assert text.returncode == as_json.returncode == 1
+        assert text.stdout == as_json.stdout == ""
+        assert text.stderr == as_json.stderr
 
 
 class TestDemo:
