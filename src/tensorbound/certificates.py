@@ -38,15 +38,14 @@ def _fewest_heavy(target: float, caps: np.ndarray, t: float, slack: float) -> in
     together add up to ``target``.
 
     A heavy term adds at most its cap. A light term adds at most
-    min(cap, t), and strictly less than t when its cap is >= t. With the
-    caps sorted in descending order, reach(N) is the sum of the N largest
-    caps plus min(cap, t) over the rest: the most that any N heavy terms
-    and the light rest can add. N is possible when reach(N) > target and
-    some remaining cap is >= t (the strict case takes no slack), or
-    reach(N) >= target - slack otherwise. If no N is possible (the
-    target exceeds the sum of all caps), the count is every term.
+    min(cap, t), and strictly less than t when its cap is >= t. ``caps``
+    are sorted in descending order, so reach(N), the sum of the N largest
+    caps plus min(cap, t) over the rest, is the most that any N heavy
+    terms and the light rest can add. N is possible when reach(N) >
+    target and some remaining cap is >= t (the strict case takes no
+    slack), or reach(N) >= target - slack otherwise. If no N is possible
+    (the target exceeds the sum of all caps), the count is every term.
     """
-    caps = np.sort(caps)[::-1]
     n = caps.size
     heavy_part = np.concatenate(([0.0], np.cumsum(caps)))
     light_part = np.concatenate((np.cumsum(np.minimum(caps, t)[::-1])[::-1], [0.0]))
@@ -146,6 +145,7 @@ def build_certificate_report(
     """
     if (weights is None) == (instance is None):
         raise ValueError("provide exactly one of weights or instance")
+    thresholds = tuple(thresholds)  # any iterable; truth of a numpy array raises
     w = instance.weights if instance is not None else _as_weights(weights)
 
     beta = float(beta)
@@ -158,8 +158,6 @@ def build_certificate_report(
     slack = EQUALITY_GUARD * size
     sum_c_sq = float(np.sum(w ** 2))
     excess = max(0.0, beta ** 2 - sum_c_sq)
-    products = np.outer(a, a)
-    pair_caps = 2.0 * products[np.triu_indices(w.size, k=1)]
 
     aggregate_edges = c_of_g = domination = None
     if g is not None:
@@ -172,7 +170,11 @@ def build_certificate_report(
             domination = DOMINATION_ASSERTED
         c_of_g = graph_constant(g)
         aggregate_edges = excess / c_of_g
-        edge_caps = 4.0 * products[np.triu(g.adjacency) > 0]
+    if thresholds or phi_threshold is not None:  # the caps serve only the counts
+        products = np.outer(a, a)
+        pair_caps = np.sort(2.0 * products[np.triu_indices(w.size, k=1)])[::-1]
+        if g is not None:
+            edge_caps = np.sort(4.0 * products[np.triu(g.adjacency) > 0])[::-1]
 
     def require_positive_finite(name: str, v: float) -> None:
         if not 0 < v < math.inf:

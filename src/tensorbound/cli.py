@@ -17,7 +17,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .sweep import GRAPH_MODES, SweepConfig, SweepResult, TrialResult, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SWEEP_VIOLATION = 4
 
@@ -62,32 +61,12 @@ def _kv_lines(items) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report -> dict (JSON) and text renderers
-
-
-def report_to_dict(rep) -> dict:
-    """JSON form of a report dataclass: its fields in declaration order,
-    with nested reports, tuples, arrays and dicts encoded recursively. The
-    report dataclasses declare their fields in JSON key order, so their
-    declarations are the report schema."""
-    return {f.name: _jsonable(getattr(rep, f.name)) for f in fields(rep)}
-
-
-def _jsonable(v):
-    if is_dataclass(v):
-        return report_to_dict(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
+# renderers; JSON is dataclasses.asdict, so report fields are declared in JSON key order
 
 
 def bound_report_to_dict(rep: BoundReport) -> dict:
     """A BoundReport as JSON, led by the marker of its 1-based pairs."""
-    return {"indexing": "1-based", **report_to_dict(rep)}
+    return {"indexing": "1-based", **asdict(rep)}
 
 
 def domination_text(rep: DominationReport) -> str:
@@ -221,7 +200,8 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))  # inf or NaN: ValueError, exit 1
+    # inf or NaN: ValueError, exit 1; the one array field (eigenvalues) is written by tolist
+    print(json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist))
 
 
 def _print_report(output: str, report, to_text, to_json, to_csv=None) -> None:
@@ -306,20 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="turn an observed correlation value into noncommutativity certificates"
     )
     p_cert.add_argument("instance", nargs="?")
+    neg = "; write a negative value as --name=value"  # argparse reads -1,1 or -2e0 as an option
     p_cert.add_argument(
-        "--weights", type=_parse_weights, help="comma-separated weights, replaces an instance file"
+        "--weights", type=_parse_weights, help="comma-separated weights, replaces an instance file" + neg
     )
-    p_cert.add_argument("--beta", type=float, help="observed value (computed from the instance if omitted)")
     p_cert.add_argument(
-        "--threshold",
-        "-t",
-        type=float,
-        action="append",
-        default=[],
-        help="weighted-mass threshold for pair counting (repeatable)",
+        "--beta", type=float, help="observed value (computed from the instance if omitted)" + neg
     )
-    p_cert.add_argument("--phi-threshold", type=float, help="threshold on plain phi values")
-    p_cert.add_argument("--c-max", type=float, help="certified bound on |c_i|, required with --phi-threshold")
+    p_cert.add_argument(
+        "--threshold", "-t", type=float, action="append", default=[],
+        help="weighted-mass threshold for pair counting (repeatable)" + neg,
+    )
+    p_cert.add_argument("--phi-threshold", type=float, help="threshold on plain phi values" + neg)
+    p_cert.add_argument(
+        "--c-max", type=float, help="certified bound on |c_i|, required with --phi-threshold" + neg
+    )
     add_graph_opts(p_cert)
     add_output(p_cert)
 
@@ -388,7 +369,7 @@ def cmd_bound(args, parser) -> int:
 def cmd_exact(args, parser) -> int:
     inst, _ = load_instance(args.instance)
     summary = exact_reference(inst, dim_cap=args.dim_cap)
-    _print_report(args.output, summary, spectral_text, report_to_dict)
+    _print_report(args.output, summary, spectral_text, asdict)
     return EXIT_OK
 
 
@@ -398,7 +379,7 @@ def cmd_check_domination(args, parser) -> int:
     if graph is None:
         parser.error("check-domination needs a graph (embedded or --graph FILE)")
     report = check_domination(inst, graph, weighted=not args.unweighted)
-    _print_report(args.output, report, domination_text, report_to_dict)
+    _print_report(args.output, report, domination_text, asdict)
     return EXIT_OK if report.satisfied else EXIT_VALIDATION
 
 
@@ -433,7 +414,7 @@ def cmd_certify(args, parser) -> int:
         c_max=args.c_max,
         beta_source=beta_source,
     )
-    _print_report(args.output, report, certificate_text, report_to_dict)
+    _print_report(args.output, report, certificate_text, asdict)
     return EXIT_OK
 
 

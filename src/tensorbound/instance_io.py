@@ -10,6 +10,7 @@ every value bit-exactly.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 
@@ -39,42 +40,28 @@ def _entry_from_json(cell, where: str) -> complex:
     return complex(re, im)
 
 
-def _matrix_from_well_formed_json(rows, dim: int) -> np.ndarray | None:
-    """``rows`` as a complex matrix in one numpy conversion, or None.
-
-    Takes only a list of ``dim`` lists of ``dim`` [re, im] pairs whose parts
-    are finite and of type int or float exactly (so never bool). Anything
-    else is left to the per-entry scan, which names the first bad entry and
-    also accepts number subclasses.
-    """
-    if type(rows) is not list or len(rows) != dim or set(map(type, rows)) != {list}:
-        return None
-    if set(map(len, rows)) != {dim}:
-        return None
-    cells = list(chain.from_iterable(rows))
-    if not set(map(type, cells)) <= {list, tuple}:
-        return None
-    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
-        return None
-    try:
-        parts = np.array(cells, dtype=float)
-    except (ValueError, OverflowError):
-        return None
-    if parts.shape != (dim * dim, 2) or not np.isfinite(parts).all():
-        return None
-    # Each row of the C-contiguous (dim*dim, 2) array is one (re, im) pair.
-    return parts.view(complex).reshape(dim, dim)
-
-
 def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
-    fast = _matrix_from_well_formed_json(rows, dim)
-    if fast is not None:
-        return fast
+    """``rows``, ``dim`` lists of ``dim`` [re, im] pairs, as a complex matrix.
+
+    Pairs whose parts are all finite and of type int or float exactly (so
+    never bool) go through one numpy conversion. Anything else goes through
+    a per-entry scan, which names the first bad row or entry and also
+    accepts number subclasses.
+    """
     if not isinstance(rows, list) or len(rows) != dim:
         raise InstanceValidationError(
             f"{where}: expected {dim} rows, got "
             f"{len(rows) if isinstance(rows, list) else type(rows).__name__}"
         )
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
+        cells = list(chain.from_iterable(rows))
+        pairs = set(map(type, cells)) <= {list, tuple}  # checked before their parts are iterated
+        if pairs and set(map(type, chain.from_iterable(cells))) <= {int, float}:
+            with suppress(ValueError, OverflowError):  # ragged pairs, an int past the float range
+                parts = np.array(cells, dtype=float)
+                if parts.shape == (dim * dim, 2) and np.isfinite(parts).all():
+                    # Each row of the C-contiguous (dim*dim, 2) array is one (re, im) pair.
+                    return parts.view(complex).reshape(dim, dim)
     out = np.zeros((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -87,7 +74,9 @@ def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
 
 
 def matrix_to_json(a: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
+    """Rows of [re, im] pairs: tolist of a float view gives each part exactly."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def _positive_int(value, name: str) -> int:
@@ -178,7 +167,7 @@ def instance_to_dict(
         "dim_k": inst.dim_k,
         "x": [matrix_to_json(a) for a in inst.x],
         "y": [matrix_to_json(b) for b in inst.y],
-        "weights": [float(c) for c in inst.weights],
+        "weights": inst.weights.tolist(),
     }
     if graph is not None:
         doc["graph"] = graph_to_json(graph)

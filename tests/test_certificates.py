@@ -336,6 +336,24 @@ class TestReportBuilder:
         assert report.phi_threshold_variant is not None
         assert calls == {"_as_weights": 1, "graph_constant": 1}
 
+    @pytest.mark.parametrize(
+        "counts, outer_calls",
+        [({}, 0), ({"thresholds": (0.5, 1.0)}, 1), ({"phi_threshold": 1.0, "c_max": 1.0}, 1)],
+        ids=["no-count", "thresholds", "phi-threshold"],
+    )
+    def test_caps_built_only_for_counts(self, monkeypatch, counts, outer_calls):
+        calls = []
+        outer = np.outer
+        monkeypatch.setattr(np, "outer", lambda *args: calls.append(args) or outer(*args))
+        build_certificate_report(3.0, weights=[1, 1, 1, 1], g=star_graph(4), **counts)
+        assert len(calls) == outer_calls
+
+    def test_thresholds_may_be_any_iterable(self):
+        expected = build_certificate_report(3.0, weights=[1, 1, 1, 1], thresholds=(0.5, 1.0))
+        for thresholds in (np.array([0.5, 1.0]), iter([0.5, 1.0]), [0.5, 1.0]):
+            report = build_certificate_report(3.0, weights=[1, 1, 1, 1], thresholds=thresholds)
+            assert report == expected
+
 
 class TestScaleInvariance:
     """Scaling beta, the weights and c_max by s = 2^k scales the excess

@@ -5,8 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +19,18 @@ from test_bounds import small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, cwd=None):
+    # the child imports tensorbound from this checkout's src/, installed or not
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "tensorbound", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -363,6 +371,17 @@ class TestCertify:
         assert proc.returncode == 1
         assert "must be positive and finite, got nan" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "flags", [("--weights=-1,1", "--beta", "2"), ("--weights", "1,1", "--beta=-2e0")]
+    )
+    def test_negative_values_in_name_value_form(self, flags):
+        proc = run_cli("certify", *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert parse_kv(proc.stdout)["excess"] == "2"
+        # the space form reads the value as an option, as the --help text warns
+        spaced = [part for flag in flags for part in flag.split("=")]
+        assert run_cli("certify", *spaced).returncode == 2
 
     def test_usage_errors_exit_two(self, demo_dir):
         assert run_cli("certify", "--beta", "2").returncode == 2

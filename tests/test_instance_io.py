@@ -190,6 +190,24 @@ class TestMatrixParsing:
         with pytest.raises(InstanceValidationError, match=r"x\[0\]: row 3 must have 5 entries"):
             matrix_from_json(rows, 5, "x[0]")
 
+    @pytest.mark.parametrize("row", [5, "text", None, {"a": 1}])
+    def test_row_that_is_not_a_list_located(self, row):
+        rows = self.rows()
+        rows[3] = row  # len() of the rows before their types are checked would raise TypeError
+        with pytest.raises(InstanceValidationError, match=r"x\[0\]: row 3 must have 5 entries"):
+            matrix_from_json(rows, 5, "x[0]")
+
+    @pytest.mark.parametrize("view", ["contiguous", "strided", "transposed"])
+    def test_writer_matches_entry_by_entry_floats(self, view):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        a[0, :4] = [-0.0, complex(0.0, -0.0), 5e-324 - 2.2e-310j, -1.7e300 + 9.9e299j]
+        a = {"contiguous": a, "strided": a[::2, ::2], "transposed": a.T}[view]
+        expected = [[[float(v.real), float(v.imag)] for v in row] for row in a]
+        written = matrix_to_json(a)
+        assert json.dumps(written) == json.dumps(expected)  # repr of every part, -0.0 included
+        assert matrix_from_json(written, len(a), "x[0]").tobytes() == np.array(a).tobytes()
+
     def test_number_subclasses_still_accepted(self):
         rows = self.rows()
         rows[4][4] = [np.float64(0.5), 1.0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -374,3 +376,18 @@ class TestSpectralNorm:
         assert norms.shape == (len(stack),)
         assert norms.tolist() == [spectral_norm(a) for a in stack]
         assert spectral_norm(stack[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_stack_with_non_finite_entries_is_refused(self, entry):
+        with pytest.raises(ValueError, match="spectral norm is not finite"):
+            spectral_norm(np.full((2, 2, 2), entry))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 0, 0)])
+    def test_stack_of_non_square_or_empty_matrices_is_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+            spectral_norm(np.ones(shape))
+
+    def test_overflowing_gram_product_is_refused(self):
+        # finite entries whose a* a overflows: the norm is 2e200, but not computable this way
+        with pytest.raises(ValueError, match="spectral norm is not finite"):
+            spectral_norm(np.full((2, 2), 1e200))
