@@ -4,7 +4,8 @@ Complex entries are two-element arrays [re, im]; matrices are row-major
 arrays of rows. Indices in files are 0-based (graph edges included),
 unlike reports, which are 1-based. Floats are written with Python's
 shortest round-tripping representation, so serialize(parse(f)) preserves
-every value bit-exactly.
+every value bit-exactly. Files hold one unindented top-level key per line,
+so json writes them with its C encoder; indented files load unchanged.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
         )
     if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
         cells = list(chain.from_iterable(rows))
-        pairs = set(map(type, cells)) <= {list, tuple}  # checked before their parts are iterated
+        # types are checked before lengths are taken and parts iterated
+        pairs = set(map(type, cells)) <= {list, tuple} and set(map(len, cells)) == {2}
         if pairs and set(map(type, chain.from_iterable(cells))) <= {int, float}:
-            with suppress(ValueError, OverflowError):  # ragged pairs, an int past the float range
-                parts = np.array(cells, dtype=float)
-                if parts.shape == (dim * dim, 2) and np.isfinite(parts).all():
-                    # Each row of the C-contiguous (dim*dim, 2) array is one (re, im) pair.
+            with suppress(OverflowError):  # an int past the float range
+                parts = np.fromiter(chain.from_iterable(cells), float, 2 * dim * dim)
+                if np.isfinite(parts).all():
+                    # Consecutive (re, im) parts are one complex entry each.
                     return parts.view(complex).reshape(dim, dim)
     out = np.zeros((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
@@ -189,8 +191,10 @@ def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
 def save_instance(
     path, inst: TensorSumInstance, graph: InteractionGraph | None = None
 ) -> None:
+    """One top-level key per line; json.dumps uses its C encoder only without indent."""
     doc = instance_to_dict(inst, graph)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    body = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    Path(path).write_text("{\n" + body + "\n}\n", encoding="utf-8")
 
 
 def load_graph(path, m: int) -> InteractionGraph:

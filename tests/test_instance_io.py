@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorbound import (
     InstanceValidationError,
@@ -13,9 +15,11 @@ from tensorbound import (
     pauli,
     save_instance,
 )
+from tensorbound import instance_io
 from tensorbound.graphs import InteractionGraph
 from tensorbound.instance_io import (
     SCHEMA_VERSION,
+    _entry_from_json,
     load_graph,
     matrix_from_json,
     matrix_to_json,
@@ -72,6 +76,80 @@ class TestRoundTrip:
         assert doc["graph"]["edges"] == [[0, 3], [1, 2]]
         _, parsed = load_instance(path)
         assert parsed.edges == ((1, 4), (2, 3))
+
+
+def extreme_instance():
+    """Signed zeros, a subnormal and 17-digit values in operators and weights."""
+    a = np.array(
+        [[-0.0, 5e-324 + 1j / 3], [5e-324 - 1j / 3, 0.30000000000000004]], dtype=complex
+    )
+    b = np.diag([0.12345678901234568, -0.0]).astype(complex)
+    weights = [1.2345678901234567e-300, -0.1, 6.02214076e23]
+    return TensorSumInstance([a, b, a], [b, a, pauli("z")], weights), InteractionGraph(
+        3, [(1, 3)]
+    )
+
+
+def same_bits(a: TensorSumInstance, b: TensorSumInstance) -> bool:
+    return all(
+        np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+        for f in ("x", "y", "weights")
+    )
+
+
+class TestWriterLayout:
+    def test_one_compact_line_per_top_level_key(self, tmp_path):
+        inst, graph = extreme_instance()
+        path = tmp_path / "i.json"
+        save_instance(path, inst, graph)
+        doc = instance_to_dict(inst, graph)
+        entries = [f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()]
+        expected = ["{", *(e + "," for e in entries[:-1]), entries[-1], "}"]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+        assert len(expected) == len(doc) + 2 == 9
+
+    def test_file_parses_to_the_instance_dict(self, tmp_path):
+        inst, graph = extreme_instance()
+        path = tmp_path / "i.json"
+        save_instance(path, inst, graph)
+        doc = instance_to_dict(inst, graph)
+        assert json.loads(path.read_text()) == doc
+        # repr of every float, so -0.0 and every last bit are compared too
+        assert json.dumps(json.loads(path.read_text())) == json.dumps(doc)
+
+    def test_extreme_values_round_trip_bitwise(self, tmp_path):
+        inst, graph = extreme_instance()
+        path = tmp_path / "i.json"
+        save_instance(path, inst, graph)
+        loaded, loaded_graph = load_instance(path)
+        assert same_bits(loaded, inst)
+        assert math.copysign(1.0, loaded.x[0, 0, 0].real) == -1.0
+        assert loaded.x[0, 0, 1].real == 5e-324
+        assert loaded_graph.edges == graph.edges
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1 + 0.2]
+    )
+    def test_writer_keeps_every_float_bit(self, value, tmp_path, monkeypatch):
+        # no instance can hold the largest float (as a weight it overflows 4 m (sum |c|)^2),
+        # so the writer is handed a document directly
+        doc = {"schema_version": SCHEMA_VERSION, "weights": [value, -value]}
+        monkeypatch.setattr(instance_io, "instance_to_dict", lambda inst, graph: doc)
+        path = tmp_path / "w.json"
+        save_instance(path, None)
+        written = json.loads(path.read_text())["weights"]
+        assert np.array(written).tobytes() == np.array([value, -value]).tobytes()
+
+    def test_indented_files_load_unchanged(self, tmp_path):
+        inst, graph = extreme_instance()
+        old = tmp_path / "indented.json"
+        old.write_text(json.dumps(instance_to_dict(inst, graph), indent=2) + "\n")
+        new = tmp_path / "compact.json"
+        save_instance(new, inst, graph)
+        assert old.read_text() != new.read_text()
+        (a, ga), (b, gb) = load_instance(old), load_instance(new)
+        assert same_bits(a, b) and same_bits(a, inst)
+        assert ga.edges == gb.edges == graph.edges
 
 
 class TestValidationErrors:
@@ -176,6 +254,9 @@ class TestMatrixParsing:
             (["1", 0.0], "two-element"),
             ([1.0, 2.0, 3.0], "two-element"),
             ([float("nan"), 0.0], "finite"),
+            ([1.0], "two-element"),
+            ([0.0, None], "two-element"),
+            ([0.0, 10**400], "finite"),  # an integer past the float range
         ],
     )
     def test_bad_entry_located_in_large_matrix(self, cell, message):
@@ -207,6 +288,35 @@ class TestMatrixParsing:
         written = matrix_to_json(a)
         assert json.dumps(written) == json.dumps(expected)  # repr of every part, -0.0 included
         assert matrix_from_json(written, len(a), "x[0]").tobytes() == np.array(a).tobytes()
+
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda dim: st.lists(
+                st.lists(
+                    st.lists(
+                        st.one_of(
+                            st.floats(allow_nan=False, allow_infinity=False),
+                            st.integers(min_value=-(2**1023), max_value=2**1023),
+                        ),
+                        min_size=2,
+                        max_size=2,
+                    ),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+                min_size=dim,
+                max_size=dim,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fast_path_matches_entry_scan_bitwise(self, rows):
+        dim = len(rows)
+        expected = np.zeros((dim, dim), dtype=complex)
+        for r, row in enumerate(rows):
+            for c, cell in enumerate(row):
+                expected[r, c] = _entry_from_json(cell, "x[0]")
+        assert matrix_from_json(rows, dim, "x[0]").tobytes() == expected.tobytes()
 
     def test_number_subclasses_still_accepted(self):
         rows = self.rows()

@@ -8,7 +8,9 @@ thresholds and the phi-threshold variant) on the instance file the demo
 writes; for the goldens whose demo embeds a graph, also of
 ``check-domination`` (text, JSON and ``--unweighted``). They are named
 ``<golden stem>.<case>.<txt|csv>``. Beside them, ``sweep.<txt|csv>`` and
-``sweep-json.txt`` pin ``sweep --trials 20 --seed 42``. No pin is
+``sweep-json.txt`` pin ``sweep --trials 20 --seed 42``, and
+``chsh.instance-file.txt`` pins the instance file ``demo chsh --dir``
+writes, so a change of its layout fails a test. No pin is
 ``*.json`` (JSON renderings are stored as ``.txt``) so that nothing
 globbing the report goldens picks them up.
 
@@ -73,6 +75,7 @@ def _stems(case: str) -> list:
 
 
 PINS = [(stem, case) for case in CASES for stem in _stems(case)]
+INSTANCE_PIN = RENDER_DIR / "chsh.instance-file.txt"
 
 
 def _demo_argv(stem: str, directory: Path) -> list[str]:
@@ -107,7 +110,7 @@ def expected_path(stem, case: str) -> Path:
 def test_every_golden_and_case_is_pinned():
     pinned = {p.name for p in RENDER_DIR.iterdir()}
     wanted = {expected_path(s, c).name for s, c in PINS}
-    assert pinned == wanted
+    assert pinned == wanted | {INSTANCE_PIN.name}
 
 
 @pytest.mark.parametrize(
@@ -116,6 +119,16 @@ def test_every_golden_and_case_is_pinned():
 def test_rendering_is_byte_identical(stem, case, tmp_path, capsys):
     out = render(stem, case, tmp_path, lambda: capsys.readouterr().out)
     assert out == expected_path(stem, case).read_text(encoding="utf-8")
+
+
+def written_instance_file(directory: Path) -> bytes:
+    cli.main(_demo_argv("chsh", directory))
+    (path,) = directory.glob("*.json")
+    return path.read_bytes()
+
+
+def test_written_instance_file_is_byte_identical(tmp_path, capsys):
+    assert written_instance_file(tmp_path) == INSTANCE_PIN.read_bytes()
 
 
 if __name__ == "__main__":
@@ -137,3 +150,6 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 out = render(stem, case, Path(tmp), capture)
         expected_path(stem, case).write_text(out, encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            INSTANCE_PIN.write_bytes(written_instance_file(Path(tmp)))
