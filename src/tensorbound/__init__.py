@@ -18,15 +18,12 @@ from .bounds import (
     InstanceValidationError,
     PhiTable,
     TensorSumInstance,
-    TwoTermSharpness,
     build_report,
     check_domination,
-    chsh_identity_residual,
     exact_reference,
     extreme_spectrum,
     phi_table,
     require_domination,
-    two_term_sharpness,
 )
 from .certificates import (
     CertificateReport,
@@ -47,7 +44,6 @@ from .graphs import (
     IsolatedVertexError,
     chain_graph,
     complete_graph,
-    cycle_graph,
     graph_constant,
     random_graph_min_degree_one,
     star_graph,
@@ -64,9 +60,7 @@ from .linalg import (
     DimensionCapError,
     LanczosResult,
     SpectralSummary,
-    anticommutator,
     as_operator,
-    commutator,
     hermitian_eig,
     kron,
     lanczos_extremes,
@@ -99,18 +93,13 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "TensorSumInstance",
-    "TwoTermSharpness",
-    "anticommutator",
     "as_operator",
     "build_certificate_report",
     "build_report",
     "chain_graph",
     "check_domination",
-    "chsh_identity_residual",
     "clifford_generators",
-    "commutator",
     "complete_graph",
-    "cycle_graph",
     "exact_reference",
     "extreme_spectrum",
     "graph_constant",
@@ -129,6 +118,5 @@ __all__ = [
     "save_instance",
     "spectral_norm",
     "star_graph",
-    "two_term_sharpness",
     "validate",
 ]

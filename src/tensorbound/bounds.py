@@ -29,11 +29,9 @@ from .linalg import (
     DEFAULT_DIM_CAP,
     LANCZOS_TOL,
     SpectralSummary,
-    anticommutator,
     as_operator,
     batches,
     check_dim_cap,
-    commutator,
     hermitian_eig,
     kron,
     lanczos_extremes,
@@ -43,9 +41,6 @@ from .linalg import (
 # Relative slack on the edge-domination comparison of a non-edge, in units
 # of the largest pair weight |c_a c_b| that enters it (1 when unweighted).
 DOM_TOL = 1e-12
-
-# Tolerance on the anticommutation precondition of the two-term identity.
-ANTICOMM_TOL = 1e-9
 
 # extreme_spectrum assembles and diagonalizes B up to this product
 # dimension and runs Lanczos above it. At m=10 on a 2-core x86 host, dense
@@ -384,73 +379,6 @@ def extreme_spectrum(
         method=method,
         steps=None if run is None else run.steps,
         residual=None if run is None else run.residual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Structural identities for self-adjoint involutions
-
-
-def _require_involutions(named_ops) -> list[np.ndarray]:
-    ops = []
-    for name, op in named_ops:
-        op = as_operator(op)
-        cert = validate(op)
-        if not cert.is_unitary_involution:
-            raise ValueError(
-                f"{name} must be a self-adjoint unitary involution "
-                f"(hermiticity defect {cert.hermiticity_defect:.3e}, "
-                f"||a* a - I|| = {cert.involution_defect:.3e})"
-            )
-        ops.append(op)
-    return ops
-
-
-def chsh_identity_residual(a0, a1, b0, b1) -> float:
-    """Residual of the algebraic square identity behind the 2*sqrt(2) bound.
-
-    For self-adjoint unitaries, S = a0(x)b0 + a0(x)b1 + a1(x)b0 - a1(x)b1
-    satisfies S^2 = 4 I - [a0,a1](x)[b0,b1]; returns the norm of the
-    difference between the two sides.
-    """
-    a0, a1, b0, b1 = _require_involutions(
-        [("a0", a0), ("a1", a1), ("b0", b0), ("b1", b1)]
-    )
-    s = kron(a0, b0) + kron(a0, b1) + kron(a1, b0) - kron(a1, b1)
-    total = s.shape[0]
-    rhs = 4.0 * np.eye(total) - kron(commutator(a0, a1), commutator(b0, b1))
-    return spectral_norm(s @ s - rhs)
-
-
-@dataclass(frozen=True)
-class TwoTermSharpness:
-    norm_s: float
-    w_is_involution: bool
-    identity_residual: float
-
-
-def two_term_sharpness(x1, x2, y1, y2) -> TwoTermSharpness:
-    """Verify the exact two-term case: for anticommuting self-adjoint
-    unitary pairs, S = x1(x)y1 + x2(x)y2 satisfies S^2 = 2(I + W) with
-    W = x1x2 (x) y1y2 a self-adjoint unitary, hence ||S|| = 2.
-    """
-    x1, x2, y1, y2 = _require_involutions(
-        [("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2)]
-    )
-    ax = spectral_norm(anticommutator(x1, x2))
-    ay = spectral_norm(anticommutator(y1, y2))
-    if ax > ANTICOMM_TOL or ay > ANTICOMM_TOL:
-        raise ValueError(
-            f"pairs must anticommute: ||{{x1,x2}}|| = {ax:.3e}, "
-            f"||{{y1,y2}}|| = {ay:.3e}"
-        )
-    s = kron(x1, y1) + kron(x2, y2)
-    w = kron(x1 @ x2, y1 @ y2)
-    residual = spectral_norm(s @ s - 2.0 * (np.eye(s.shape[0]) + w))
-    return TwoTermSharpness(
-        norm_s=spectral_norm(s),
-        w_is_involution=validate(w).is_unitary_involution,
-        identity_residual=residual,
     )
 
 

@@ -25,7 +25,6 @@ from .linalg import (
 )
 
 CONTRACTION_TOL = 1e-9
-INVOLUTION_TOL = 1e-9
 
 # Identifier of the pseudorandom scheme used by random_operator; recorded
 # in sweep outputs so a corpus can be tied to the generator that made it.
@@ -52,18 +51,15 @@ def pauli(which: str) -> np.ndarray:
 class ContractionCertificate:
     """Checked facts about one operator, or arrays of them for a (k, d, d) stack.
 
-    ``is_contraction`` means norm <= 1 + CONTRACTION_TOL;
-    ``is_unitary_involution`` additionally requires hermiticity and
-    ||a* a - I|| <= INVOLUTION_TOL (||a^2 - I|| for self-adjoint a). The
-    defect fields hold the measured residuals that explain a failed check.
+    ``is_hermitian`` means ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F),
+    with the measured ``hermiticity_defect`` explaining a failed check;
+    ``is_contraction`` means norm <= 1 + CONTRACTION_TOL.
     """
 
     is_hermitian: bool | np.ndarray
     hermiticity_defect: float | np.ndarray
     norm: float | np.ndarray
     is_contraction: bool | np.ndarray
-    is_unitary_involution: bool | np.ndarray
-    involution_defect: float | np.ndarray
 
 
 def _defects_and_squared_singular_values(a: np.ndarray):
@@ -76,11 +72,10 @@ def _defects_and_squared_singular_values(a: np.ndarray):
 
 def validate(a) -> ContractionCertificate:
     """Certify whether a matrix, or each matrix of a (k, d, d) stack, is a
-    self-adjoint contraction / involution, one linalg.batches batch at a
-    time: a Frobenius reduction gives the hermiticity defects ||a - a*||_F,
-    and one eigvalsh of a* a its eigenvalues mu_i, hence the norm
-    sqrt(mu_max) (the arithmetic of linalg.spectral_norm) and the involution
-    defect max |mu_i - 1|.
+    self-adjoint contraction, one linalg.batches batch at a time: a
+    Frobenius reduction gives the hermiticity defects ||a - a*||_F, and one
+    eigvalsh of a* a its largest eigenvalue mu_max, hence the norm
+    sqrt(mu_max) (the arithmetic of linalg.spectral_norm).
 
     Never raises for well-formed square matrices; failures show up as False
     flags plus the measured defects.
@@ -92,14 +87,11 @@ def validate(a) -> ContractionCertificate:
     parts = [_defects_and_squared_singular_values(a[p]) for p in batches(len(a), a.shape[1])]
     defect, is_herm, mu = (np.concatenate(arrays) for arrays in zip(*parts))
     norm = np.sqrt(np.maximum(mu[:, -1], 0.0))
-    inv_defect = np.abs(mu - 1.0).max(axis=1)
     fields = {
         "is_hermitian": is_herm,
         "hermiticity_defect": defect,
         "norm": norm,
         "is_contraction": norm <= 1.0 + CONTRACTION_TOL,
-        "is_unitary_involution": is_herm & (inv_defect <= INVOLUTION_TOL),
-        "involution_defect": inv_defect,
     }
     if single:
         fields = {name: value[0].item() for name, value in fields.items()}

@@ -87,12 +87,6 @@ def chain_graph(m: int) -> InteractionGraph:
     return InteractionGraph(m, [(i, i + 1) for i in range(1, m)])
 
 
-def cycle_graph(m: int) -> InteractionGraph:
-    if m < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return InteractionGraph(m, [(i, i + 1) for i in range(1, m)] + [(1, m)])
-
-
 def graph_constant(g: InteractionGraph) -> float:
     """Connectivity factor 2(m-1)/delta - 1; equals 1 on complete graphs."""
     delta = g.min_degree()

@@ -97,29 +97,6 @@ def check_dim_cap(dim_a: int, dim_b: int, dim_cap: int) -> None:
         )
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"{what} requires equal dimensions, got {a.shape[0]} and {b.shape[0]}"
-        )
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab - ba. Skew-adjoint whenever a and b are self-adjoint."""
-    a = as_operator(a)
-    b = as_operator(b)
-    _check_same_dim(a, b, "commutator")
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab + ba. Self-adjoint whenever a and b are self-adjoint."""
-    a = as_operator(a)
-    b = as_operator(b)
-    _check_same_dim(a, b, "anticommutator")
-    return a @ b + b @ a
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Spectrum of a Hermitian operator.

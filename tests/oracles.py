@@ -15,6 +15,31 @@ def svd_norm(a) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
 
 
+def involution_defect(a) -> float:
+    """The larger of ||a - a*|| and ||a* a - I||: zero exactly when a is a
+    self-adjoint unitary, that is a self-adjoint involution."""
+    a = np.asarray(a, dtype=complex)
+    return max(svd_norm(a - a.conj().T), svd_norm(a.conj().T @ a - np.eye(len(a))))
+
+
+def chsh_square_residual(a0, a1, b0, b1) -> float:
+    """||S^2 - (4 I - [a0,a1] (x) [b0,b1])|| for the CHSH operator
+    S = a0(x)b0 + a0(x)b1 + a1(x)b0 - a1(x)b1; zero when all four are
+    self-adjoint involutions (the square identity behind 2 sqrt(2))."""
+    s = np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
+    rhs = 4.0 * np.eye(len(s)) - np.kron(a0 @ a1 - a1 @ a0, b0 @ b1 - b1 @ b0)
+    return svd_norm(s @ s - rhs)
+
+
+def two_term_residual(x1, x2, y1, y2) -> float:
+    """||S^2 - 2(I + W)|| for S = x1(x)y1 + x2(x)y2 and W = x1x2 (x) y1y2;
+    zero for anticommuting pairs of self-adjoint involutions, where W is a
+    self-adjoint involution and so ||S|| = 2."""
+    s = np.kron(x1, y1) + np.kron(x2, y2)
+    w = np.kron(x1 @ x2, y1 @ y2)
+    return svd_norm(s @ s - 2.0 * (np.eye(len(s)) + w))
+
+
 def dense_kron_sum(x_ops, y_ops, weights) -> np.ndarray:
     """B = sum_i c_i x_i (x) y_i assembled in full: one np.kron per term,
     scaled after the product and added to a zero matrix in term order."""

@@ -13,7 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_phi_breakdown, count_edges_at_least, count_pairs_at_least
+from oracles import (
+    brute_phi_breakdown,
+    chsh_square_residual,
+    count_edges_at_least,
+    count_pairs_at_least,
+    involution_defect,
+    svd_norm,
+    two_term_residual,
+)
 from tensorbound import (
     DominationError,
     SweepConfig,
@@ -21,7 +29,6 @@ from tensorbound import (
     build_certificate_report,
     build_report,
     check_domination,
-    chsh_identity_residual,
     clifford_generators,
     complete_graph,
     exact_reference,
@@ -35,7 +42,6 @@ from tensorbound import (
     require_domination,
     run_sweep,
     star_graph,
-    two_term_sharpness,
 )
 from tensorbound.demos import build_demo
 from test_bounds import random_instance
@@ -66,7 +72,8 @@ def test_criterion_01_tsirelson_reproduction():
 def test_criterion_02_chsh_identity():
     b0 = (SZ + SX) / math.sqrt(2)
     b1 = (SZ - SX) / math.sqrt(2)
-    assert chsh_identity_residual(SZ, SX, b0, b1) <= 1e-10
+    assert max(map(involution_defect, (SZ, SX, b0, b1))) <= 1e-9
+    assert chsh_square_residual(SZ, SX, b0, b1) <= 1e-10
 
     for seed in range(100):
         rng = np.random.default_rng(20_000 + seed)
@@ -79,13 +86,9 @@ def test_criterion_02_chsh_identity():
                                      kind="unitary_involution")
             )
 
-        residual = chsh_identity_residual(
-            involution(dim_a, 0),
-            involution(dim_a, 1),
-            involution(dim_b, 2),
-            involution(dim_b, 3),
-        )
-        assert residual <= 1e-9
+        ops = [involution(dim_a, 0), involution(dim_a, 1), involution(dim_b, 2), involution(dim_b, 3)]
+        assert max(map(involution_defect, ops)) <= 1e-9
+        assert chsh_square_residual(*ops) <= 1e-9
 
 
 def test_criterion_03_clifford_equality_ladder():
@@ -165,10 +168,12 @@ def test_criterion_07_dominance_sweep():
 
 
 def test_criterion_08_two_term_sharpness():
-    result = two_term_sharpness(SZ, SX, SZ, SX)
-    assert result.norm_s == pytest.approx(2.0, abs=1e-10)
-    assert result.identity_residual <= 1e-10
-    assert result.w_is_involution
+    x1, x2, y1, y2 = SZ, SX, SZ, SX
+    assert max(map(involution_defect, (x1, x2, y1, y2))) <= 1e-9
+    assert svd_norm(x1 @ x2 + x2 @ x1) <= 1e-9 and svd_norm(y1 @ y2 + y2 @ y1) <= 1e-9
+    assert svd_norm(np.kron(x1, y1) + np.kron(x2, y2)) == pytest.approx(2.0, abs=1e-10)
+    assert two_term_residual(x1, x2, y1, y2) <= 1e-10
+    assert involution_defect(np.kron(x1 @ x2, y1 @ y2)) <= 1e-9
 
 
 def _fixture_instances():

@@ -10,7 +10,6 @@ from tensorbound import (
     chain_graph,
     check_domination,
     complete_graph,
-    cycle_graph,
     graph_constant,
     load_instance,
     random_graph_min_degree_one,
@@ -130,7 +129,8 @@ class TestGraphConstant:
         assert graph_constant(star_graph(5)) == 7.0
 
     def test_six_cycle(self):
-        assert graph_constant(cycle_graph(6)) == 4.0
+        cycle = InteractionGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
+        assert graph_constant(cycle) == 4.0
 
     def test_isolated_vertex_named(self):
         g = InteractionGraph(3, [(1, 2)])
