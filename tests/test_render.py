@@ -7,7 +7,11 @@ of ``certify`` (computed beta in text and JSON, and a supplied beta with
 thresholds and the phi-threshold variant) on the instance file the demo
 writes; for the goldens whose demo embeds a graph, also of
 ``check-domination`` (text, JSON and ``--unweighted``). They are named
-``<golden stem>.<case>.<txt|csv>``. Beside them, ``sweep.<txt|csv>`` and
+``<golden stem>.<case>.<txt|csv>``. The ``complete-*`` cases run
+``check-domination`` (text, JSON and ``--unweighted``) and
+``certify --beta 2.5`` (text and JSON) on the ``heisenberg`` demo with
+``--graph`` naming a complete-graph file: a graph with no non-edge.
+Beside them, ``sweep.<txt|csv>`` and
 ``sweep-json.txt`` pin ``sweep --trials 20 --seed 42``, and
 ``chsh.instance-file.txt`` pins the instance file ``demo chsh --dir``
 writes, so a change of its layout fails a test. No pin is
@@ -23,13 +27,18 @@ from pathlib import Path
 
 import pytest
 
-from tensorbound import cli
+from tensorbound import cli, complete_graph
+from tensorbound.instance_io import graph_to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RENDER_DIR = GOLDEN_DIR / "render"
 STEMS = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
 
 SWEEP_ARGS = ("--trials", "20", "--seed", "42")
+# ``render`` writes the complete graph on the demo's m to COMPLETE_FILE
+COMPLETE_FILE = "complete-graph.json"
+COMPLETE_ARGS = ("--graph", COMPLETE_FILE)
+COMPLETE_STEM = "heisenberg"
 
 # case name -> (command, extra arguments, file suffix)
 CASES = {
@@ -52,6 +61,23 @@ CASES = {
         ("--beta", "2.5", "-t", "0.5", "-t", "2", "--phi-threshold", "1", "--c-max", "1"),
         "txt",
     ),
+    "complete-check-domination": ("check-domination", COMPLETE_ARGS, "txt"),
+    "complete-check-domination-json": (
+        "check-domination",
+        (*COMPLETE_ARGS, "--output", "json"),
+        "txt",
+    ),
+    "complete-check-domination-unweighted": (
+        "check-domination",
+        (*COMPLETE_ARGS, "--unweighted"),
+        "txt",
+    ),
+    "complete-certify": ("certify", (*COMPLETE_ARGS, "--beta", "2.5"), "txt"),
+    "complete-certify-json": (
+        "certify",
+        (*COMPLETE_ARGS, "--beta", "2.5", "--output", "json"),
+        "txt",
+    ),
     "sweep": ("sweep", SWEEP_ARGS, "txt"),
     "sweep-json": ("sweep", (*SWEEP_ARGS, "--output", "json"), "txt"),
     "sweep-csv": ("sweep", (*SWEEP_ARGS, "--output", "csv"), "csv"),
@@ -68,9 +94,11 @@ GRAPH_STEMS = [s for s in STEMS if _golden(s)["report"].get("domination") is not
 
 def _stems(case: str) -> list:
     """The goldens a case runs on; None for a sweep, which reads no file."""
-    command = CASES[case][0]
+    command, extra, _ = CASES[case]
     if command == "sweep":
         return [None]
+    if COMPLETE_FILE in extra:
+        return [COMPLETE_STEM]
     return GRAPH_STEMS if command == "check-domination" else STEMS
 
 
@@ -98,6 +126,11 @@ def render(stem, case: str, directory: Path, capture) -> str:
     if command == "demo":
         return demo_out
     (path,) = directory.glob("*.json")
+    if COMPLETE_FILE in extra:
+        m = _golden(stem)["report"]["m"]
+        graph = directory / COMPLETE_FILE
+        graph.write_text(json.dumps(graph_to_json(complete_graph(m))), encoding="utf-8")
+        extra = tuple(str(graph) if a == COMPLETE_FILE else a for a in extra)
     cli.main([command, str(path), *extra])
     return capture()
 
