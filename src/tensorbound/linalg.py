@@ -225,9 +225,10 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
         steps = k + 1
         if beta <= thresh:
             estimates_met = True
+            theta, s = _tridiagonal_eigh(alphas, betas)
             break
         if steps % _LANCZOS_CHECK_EVERY == 0 or steps == max_steps:
-            _, s = _tridiagonal_eigh(alphas, betas)
+            theta, s = _tridiagonal_eigh(alphas, betas)
             if beta * max(abs(s[-1, 0]), abs(s[-1, -1])) <= thresh:
                 estimates_met = True
                 break
@@ -236,7 +237,6 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
         betas.append(beta)
         q = w / beta
 
-    theta, s = _tridiagonal_eigh(alphas, betas)
     residual = 0.0
     for j in (0, -1):
         ritz = basis[:steps].T @ s[:, j]

@@ -23,6 +23,7 @@ from oracles import (
 from tensorbound import (
     DimensionCapError,
     DominationError,
+    DominationReport,
     InstanceValidationError,
     RandomEnsembleConfig,
     TensorSumInstance,
@@ -375,11 +376,19 @@ class TestCompleteBound:
 
 
 class TestDomination:
-    def test_complete_graph_vacuous(self):
+    def test_complete_graph_vacuous(self, monkeypatch):
+        # no non-edge: satisfied without evaluating phi
+        def no_phi(inst):
+            raise AssertionError("phi_table called for a graph with no non-edge")
+
+        monkeypatch.setattr(bounds, "phi_table", no_phi)
         inst = random_instance(5, m=4)
-        report = check_domination(inst, complete_graph(4))
-        assert report.satisfied
-        assert report.checks == ()
+        for weighted in (True, False):
+            report = check_domination(inst, complete_graph(4), weighted=weighted)
+            assert report == DominationReport(weighted=weighted, checks=(), violations=())
+            assert report.satisfied
+        with pytest.raises(ValueError, match="graph has 5 vertices but instance has m=4"):
+            check_domination(inst, complete_graph(5))
 
     def test_counterexample_violation(self):
         inst, graph = counterexample_instance()

@@ -13,7 +13,16 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_phi_breakdown, count_pairs_at_least
-from tensorbound import TensorSumInstance, cli, instance_to_dict, pauli, save_instance, sweep
+from tensorbound import (
+    TensorSumInstance,
+    bounds,
+    cli,
+    complete_graph,
+    instance_to_dict,
+    pauli,
+    save_instance,
+    sweep,
+)
 from tensorbound.demos import build_demo
 from test_bounds import small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
@@ -283,6 +292,20 @@ class TestCheckDomination:
     def test_requires_graph(self, demo_dir):
         proc = run_cli("check-domination", str(demo_dir / "demo-chsh.json"))
         assert proc.returncode == 2
+
+    def test_complete_graph_needs_no_phi(self, tmp_path, monkeypatch, capsys):
+        # no non-edge: check-domination and certify verify domination vacuously
+        def no_phi(inst):
+            raise AssertionError("phi_table called for a graph with no non-edge")
+
+        inst, _ = build_demo("heisenberg")
+        path = str(tmp_path / "complete.json")
+        save_instance(path, inst, complete_graph(inst.m))
+        monkeypatch.setattr(bounds, "phi_table", no_phi)
+        assert cli.main(["check-domination", path]) == 0
+        assert "satisfied (0 non-edge(s) checked)" in capsys.readouterr().out
+        assert cli.main(["certify", path, "--beta", "2.5"]) == 0
+        assert parse_kv(capsys.readouterr().out)["domination"] == "verified"
 
 
 class TestCertify:

@@ -226,3 +226,64 @@ class TestCapUnchanged:
         assert payload["beta"] == pytest.approx(
             exact_reference(inst).lambda_max, abs=tolerance(inst)
         )
+
+
+class TestTridiagonalSolves:
+    """A run that stops at a convergence check keeps that check's
+    decomposition; only a stop at an invariant subspace, where no check
+    ran, decomposes the tridiagonal matrix once more."""
+
+    def recorded_run(self, monkeypatch, d):
+        solves, vectors = [], []
+        solve = linalg._tridiagonal_eigh
+
+        def recorded_solve(alphas, betas):
+            solves.append((list(alphas), list(betas)))
+            return solve(alphas, betas)
+
+        def matvec(v):
+            vectors.append(v.copy())
+            return d * v
+
+        monkeypatch.setattr(linalg, "_tridiagonal_eigh", recorded_solve)
+        run = lanczos_extremes(matvec, d.size, 3.0)
+        return run, solves, vectors
+
+    def assert_result_of_final_matrix(self, run, solves, vectors, d):
+        # the result is a fresh decomposition of the full final matrix,
+        # with the residual recomputed from the Ritz vectors as before
+        alphas, betas = solves[-1]
+        assert (len(alphas), len(betas)) == (run.steps, run.steps - 1)
+        theta, s = linalg._tridiagonal_eigh(alphas, betas)
+        basis = np.array(vectors[: run.steps])
+        residual = 0.0
+        for j in (0, -1):
+            ritz = basis.T @ s[:, j]
+            residual = max(residual, float(np.linalg.norm(d * ritz - theta[j] * ritz)))
+        assert run == linalg.LanczosResult(
+            lambda_min=float(theta[0]),
+            lambda_max=float(theta[-1]),
+            steps=run.steps,
+            residual=residual,
+            converged=residual <= LANCZOS_TOL * 3.0,
+        )
+
+    def test_stop_at_a_check_decomposes_once_per_check(self, monkeypatch):
+        d = np.concatenate([[-3.0], np.linspace(-1.0, 1.0, 398), [2.0]])
+        run, solves, vectors = self.recorded_run(monkeypatch, d)
+        assert run.converged
+        assert run.steps % linalg._LANCZOS_CHECK_EVERY == 0
+        assert run.steps < linalg.LANCZOS_MAX_STEPS
+        checks = run.steps // linalg._LANCZOS_CHECK_EVERY
+        assert [len(a) for a, _ in solves] == [
+            k * linalg._LANCZOS_CHECK_EVERY for k in range(1, checks + 1)
+        ]
+        self.assert_result_of_final_matrix(run, solves, vectors, d)
+
+    def test_invariant_subspace_stop_decomposes_once(self, monkeypatch):
+        d = np.repeat([-1.0, 0.5, 2.0], 20)
+        run, solves, vectors = self.recorded_run(monkeypatch, d)
+        assert run.converged
+        assert run.steps == 3
+        assert len(solves) == 1
+        self.assert_result_of_final_matrix(run, solves, vectors, d)
