@@ -375,12 +375,13 @@ class TestCompleteBound:
         assert build_report(inst).complete_bound == reference
 
 
+def no_phi(inst):
+    raise AssertionError("phi_table called for a graph with no non-edge")
+
+
 class TestDomination:
     def test_complete_graph_vacuous(self, monkeypatch):
         # no non-edge: satisfied without evaluating phi
-        def no_phi(inst):
-            raise AssertionError("phi_table called for a graph with no non-edge")
-
         monkeypatch.setattr(bounds, "phi_table", no_phi)
         inst = random_instance(5, m=4)
         for weighted in (True, False):

@@ -24,7 +24,7 @@ from tensorbound import (
     sweep,
 )
 from tensorbound.demos import build_demo
-from test_bounds import small_weight_instance
+from test_bounds import no_phi, small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
 
 
@@ -295,9 +295,6 @@ class TestCheckDomination:
 
     def test_complete_graph_needs_no_phi(self, tmp_path, monkeypatch, capsys):
         # no non-edge: check-domination and certify verify domination vacuously
-        def no_phi(inst):
-            raise AssertionError("phi_table called for a graph with no non-edge")
-
         inst, _ = build_demo("heisenberg")
         path = str(tmp_path / "complete.json")
         save_instance(path, inst, complete_graph(inst.m))
