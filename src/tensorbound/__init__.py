@@ -61,8 +61,6 @@ from .linalg import (
     LanczosResult,
     SpectralSummary,
     as_operator,
-    hermitian_eig,
-    kron,
     lanczos_extremes,
     spectral_norm,
 )
@@ -103,10 +101,8 @@ __all__ = [
     "exact_reference",
     "extreme_spectrum",
     "graph_constant",
-    "hermitian_eig",
     "instance_from_dict",
     "instance_to_dict",
-    "kron",
     "lanczos_extremes",
     "load_instance",
     "pauli",

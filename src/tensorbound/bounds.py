@@ -290,28 +290,25 @@ def exact_reference(
     B_c is filled in square tiles of x entries, each of at most
     max(BATCH_ENTRIES, dim_k^2) entries: sum_i kron(x_i[r, s], y_i) * c_i,
     summed from zeros in term order, so every entry is bitwise that of the
-    full-size sum. Only tiles on and below the block diagonal are computed;
-    then the upper triangle is made the conjugate of the lower one, and the
-    diagonal real, which is all eigvalsh reads: B_c is Hermitian by
-    construction. Peak memory is B_c plus LAPACK's copy, 2 n^2 * 16 bytes.
+    full-size sum. Only tiles on and below the block diagonal are computed,
+    and only their entries on and below the diagonal of B_c are written
+    into a zero matrix: hermitian_eig reads B_c's lower triangle alone, so
+    its strict upper triangle stays zero. Peak memory is B_c plus LAPACK's
+    copy, 2 n^2 * 16 bytes.
     """
     dh, dk = inst.dim_h, inst.dim_k
     check_dim_cap(dh, dk, dim_cap)
     size = min(dh, max(1, int(BATCH_ENTRIES**0.5) // dk))  # one tile up to n = 256
     tiles = [slice(i, i + size) for i in [*range(0, dh - size, size), dh - size]]
     n = dh * dk
-    b = np.empty((n, n), dtype=complex)
+    b = np.zeros((n, n), dtype=complex)
     for k, r in enumerate(tiles):
         for s in tiles[: k + 1]:  # an overlapping last tile rewrites equal values
             tile = np.zeros((size * dk, size * dk), dtype=complex)
             for c, xi, yi in zip(inst.weights, inst.x, inst.y):
-                tile += kron(xi[r, s], yi, dim_cap=dim_cap) * c
+                tile += kron(xi[r, s], yi) * c
+            tile = np.tril(tile, (r.start - s.start) * dk)  # B_c's lower triangle only
             b.reshape(dh, dk, dh, dk)[r, :, s, :] = tile.reshape(size, dk, size, dk)
-    step = max(1, BATCH_ENTRIES // n)
-    for i in range(0, n, step):
-        rows = b[i : i + step, i:]
-        np.copyto(rows, b[i:, i : i + step].conj().T, where=np.arange(n - i) > np.arange(len(rows))[:, None])
-    b.reshape(-1)[:: n + 1].imag = 0.0
     return hermitian_eig(b)
 
 

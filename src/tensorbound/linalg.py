@@ -5,12 +5,13 @@ Everything here works on square complex matrices represented as numpy
 and there is no module-level mutable state, so values can be shared
 freely between workers.
 
-Exact-norm operations (eigendecomposition, spectral norm of an assembled
-tensor product) are desk-scale by design and guarded by a dimension cap;
-the bound computations elsewhere in the package never assemble the full
-tensor product and are dimension-free. ``lanczos_extremes`` finds the two
-extreme eigenvalues of a Hermitian operator known only through its action
-on vectors.
+The exact path (``kron`` tiles, then ``hermitian_eig``) is desk-scale by
+design: ``bounds.exact_reference`` holds the product dimension to a cap
+before it builds anything, and takes its operators from a validated
+instance, so neither function checks its input. The bound computations
+elsewhere never assemble the full tensor product and are dimension-free.
+``lanczos_extremes`` finds the two extreme eigenvalues of a Hermitian
+operator known only through its action on vectors.
 """
 
 from __future__ import annotations
@@ -73,17 +74,13 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def kron(a: np.ndarray, b: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Tensor (Kronecker) product a (x) b.
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor (Kronecker) product a (x) b of two complex matrices, unchecked.
 
     The result has dimension dim(a)*dim(b) and block structure
     (a(x)b)[i*db+k, j*db+l] = a[i,j]*b[k,l], the products np.kron forms
-    (without its generic-shape handling). Refuses to build products
-    larger than ``dim_cap``.
+    (without its generic-shape handling).
     """
-    a = as_operator(a)
-    b = as_operator(b)
-    check_dim_cap(a.shape[0], b.shape[0], dim_cap)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
@@ -112,30 +109,14 @@ class SpectralSummary:
 
 
 def hermitian_eig(a: np.ndarray) -> SpectralSummary:
-    """All eigenvalues of a Hermitian matrix, ascending.
+    """All eigenvalues, ascending, of the Hermitian matrix whose lower
+    triangle is ``a``.
 
-    Rejects inputs whose hermiticity defect exceeds the scaled tolerance,
-    then calls LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``);
-    no eigenvectors are computed. The defect ||a - a*||_F is summed over
-    row blocks of about BATCH_ENTRIES entries, so no n x n temporary is
-    made before LAPACK's copy. Entries are scanned for NaN/Inf (which make
-    the defect or the tolerance non-finite) only when one of those is.
+    Calls LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``),
+    which reads only the lower triangle and the real part of the diagonal;
+    the strict upper triangle and the diagonal's imaginary part are never
+    read, so nothing is checked there. No eigenvectors are computed.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        as_operator(a)  # raises the shape error
-    step = max(1, BATCH_ENTRIES // len(a))
-    blocks = (a[i : i + step] - a[:, i : i + step].conj().T for i in range(0, len(a), step))
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN/Inf entries are named below
-        defect = np.sqrt(sum(np.vdot(d, d).real for d in blocks))
-        tol = HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a))
-    if not (np.isfinite(defect) and np.isfinite(tol)):
-        as_operator(a)
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not Hermitian: ||a - a*||_F = {defect:.3e} "
-            f"exceeds tolerance {tol:.3e}"
-        )
     w = np.linalg.eigvalsh(a)
     lo = float(w[0])
     hi = float(w[-1])

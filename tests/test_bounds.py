@@ -32,14 +32,14 @@ from tensorbound import (
     clifford_generators,
     complete_graph,
     exact_reference,
-    kron,
+    extreme_spectrum,
     pauli,
     phi_table,
     random_operator,
     require_domination,
     spectral_norm,
 )
-from tensorbound import bounds
+from tensorbound import bounds, linalg
 from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
 from tensorbound.demos import build_demo
 from tensorbound.families import CONTRACTION_TOL
@@ -593,16 +593,38 @@ class TestExactReference:
         expected = np.linalg.eigvalsh(dense_kron_sum([a], [a], [1.0]))
         assert summary.eigenvalues.tobytes() == expected.tobytes()
 
-    def test_assembled_matrix_is_hermitian(self, monkeypatch):
+    def test_assembled_matrix_is_the_lower_triangle(self, monkeypatch):
+        # tiles of 6 x entries with an overlapping last tile; terms at the
+        # hermiticity tolerance, so the full sum's diagonal is complex
         seen = []
         monkeypatch.setattr(bounds, "hermitian_eig", lambda b: seen.append(b.copy()))
         rng = np.random.default_rng(3)
-        inst = TensorSumInstance(
-            [edge_operator(rng, 7) for _ in range(3)], [edge_operator(rng, 40) for _ in range(3)]
-        )
-        exact_reference(inst)
+        weights = rng.uniform(-2, 2, 3)
+        x = [edge_operator(rng, 7) for _ in weights]
+        y = [edge_operator(rng, 40) for _ in weights]
+        exact_reference(TensorSumInstance(x, y, weights))
         (b,) = seen
-        assert np.array_equal(b, b.conj().T)
+        full = dense_kron_sum(x, y, weights)
+        assert np.any(np.diag(full).imag != 0)
+        assert np.tril(b).tobytes() == np.tril(full).tobytes()
+        assert not np.triu(b, 1).any()
+
+    def test_operators_are_checked_only_by_the_instance(self, monkeypatch):
+        # tiles of 6 x entries and of one x entry; n = 16 takes the dense path
+        weights = np.array([0.6, -0.9])
+        tiles_of_6, tiles_of_1, small = (
+            dense_instance(9, dh, dk, weights) for dh, dk in [(7, 40), (2, 257), (4, 4)]
+        )
+
+        def refuse(a):
+            raise AssertionError("operator checked again")
+
+        monkeypatch.setattr(linalg, "as_operator", refuse)
+        monkeypatch.setattr(bounds, "as_operator", refuse)
+        exact_reference(tiles_of_6)
+        exact_reference(tiles_of_1)
+        assert extreme_spectrum(small).method == "dense"
+        assert extreme_spectrum(tiles_of_1).method == "lanczos"
 
     # one entry; tiles of 6 and of 2 x entries, each with an overlapping last tile
     @pytest.mark.parametrize("dim_h, dim_k", [(1, 1), (7, 40), (3, 100)])
@@ -724,12 +746,12 @@ class TestChshIdentity:
         a0, a1, b0, b1 = self.fixture_ops()
         assert max(map(involution_defect, (a0, a1, b0, b1))) <= 1e-9
         assert chsh_square_residual(a0, a1, b0, b1) <= 1e-10
-        s = kron(a0, b0) + kron(a0, b1) + kron(a1, b0) - kron(a1, b1)
+        s = np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
         assert svd_norm(s) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_commuting_case(self):
         assert chsh_square_residual(SZ, SZ, SZ, SZ) <= 1e-10
-        s = 2 * kron(SZ, SZ)
+        s = 2 * np.kron(SZ, SZ)
         assert svd_norm(s) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
@@ -757,12 +779,12 @@ class TestTwoTermSharpness:
     def check(self, x1, x2, y1, y2):
         assert max(map(involution_defect, (x1, x2, y1, y2))) <= 1e-9
         assert svd_norm(x1 @ x2 + x2 @ x1) <= 1e-9 and svd_norm(y1 @ y2 + y2 @ y1) <= 1e-9
-        assert svd_norm(kron(x1, y1) + kron(x2, y2)) == pytest.approx(2.0, abs=1e-10)
+        assert svd_norm(np.kron(x1, y1) + np.kron(x2, y2)) == pytest.approx(2.0, abs=1e-10)
         assert two_term_residual(x1, x2, y1, y2) <= 1e-10
 
     def test_pauli_pair(self):
         self.check(SZ, SX, SZ, SX)
-        assert involution_defect(kron(SZ @ SX, SZ @ SX)) <= 1e-9
+        assert involution_defect(np.kron(SZ @ SX, SZ @ SX)) <= 1e-9
 
     def test_clifford_pair(self):
         g1, g2 = clifford_generators(2)

@@ -11,7 +11,6 @@ from tensorbound import (
     DimensionCapError,
     RandomEnsembleConfig,
     clifford_generators,
-    kron,
     pauli,
     random_operator,
     spectral_norm,
@@ -188,7 +187,7 @@ class TestCliffordGenerators:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_tensor_squares_commute(self, m):
         gens = clifford_generators(m)
-        doubled = [kron(g, g) for g in gens]
+        doubled = [np.kron(g, g) for g in gens]
         for i in range(m):
             for j in range(i + 1, m):
                 assert np.array_equal(
