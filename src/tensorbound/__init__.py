@@ -33,7 +33,6 @@ from .certificates import (
 )
 from .families import (
     ContractionCertificate,
-    RandomEnsembleConfig,
     clifford_generators,
     pauli,
     random_operator,
@@ -85,7 +84,6 @@ __all__ = [
     "LanczosResult",
     "PhiTable",
     "PhiThresholdBound",
-    "RandomEnsembleConfig",
     "SCHEMA_VERSION",
     "SpectralSummary",
     "SweepConfig",

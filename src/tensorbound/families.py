@@ -18,7 +18,6 @@ from .linalg import (
     DEFAULT_DIM_CAP,
     HERM_TOL_FACTOR,
     DimensionCapError,
-    as_operator,
     batches,
     frobenius_norms,
     spectral_norm,
@@ -49,17 +48,17 @@ def pauli(which: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Checked facts about one operator, or arrays of them for a (k, d, d) stack.
+    """Checked facts about each operator of a (k, d, d) stack, as arrays of k.
 
     ``is_hermitian`` means ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F),
     with the measured ``hermiticity_defect`` explaining a failed check;
     ``is_contraction`` means norm <= 1 + CONTRACTION_TOL.
     """
 
-    is_hermitian: bool | np.ndarray
-    hermiticity_defect: float | np.ndarray
-    norm: float | np.ndarray
-    is_contraction: bool | np.ndarray
+    is_hermitian: np.ndarray
+    hermiticity_defect: np.ndarray
+    norm: np.ndarray
+    is_contraction: np.ndarray
 
 
 def _defects_and_squared_singular_values(a: np.ndarray):
@@ -71,34 +70,31 @@ def _defects_and_squared_singular_values(a: np.ndarray):
 
 
 def validate(a) -> ContractionCertificate:
-    """Certify whether a matrix, or each matrix of a (k, d, d) stack, is a
-    self-adjoint contraction, one linalg.batches batch at a time: a
-    Frobenius reduction gives the hermiticity defects ||a - a*||_F, and one
-    eigvalsh of a* a its largest eigenvalue mu_max, hence the norm
-    sqrt(mu_max) (the arithmetic of linalg.spectral_norm).
+    """Certify whether each matrix of a (k, d, d) stack is a self-adjoint
+    contraction, one linalg.batches batch at a time: a Frobenius reduction
+    gives the hermiticity defects ||a - a*||_F, and one eigvalsh of a* a its
+    largest eigenvalue mu_max, hence the norm sqrt(mu_max) (the arithmetic
+    of linalg.spectral_norm).
 
-    Never raises for well-formed square matrices; failures show up as False
-    flags plus the measured defects.
+    Never raises for a well-formed stack; failures show up as False flags
+    plus the measured defects. Anything else, a single matrix included, is
+    refused with ValueError.
     """
-    single = np.ndim(a) != 3
-    a = as_operator(a)[None] if single else np.asarray(a, dtype=complex)
-    if not single and (a.shape[1] != a.shape[2] or a.shape[1] < 1 or not np.isfinite(a).all()):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1 or not np.isfinite(a).all():
         raise ValueError(f"operator stack must hold finite square matrices, got shape {a.shape}")
     parts = [_defects_and_squared_singular_values(a[p]) for p in batches(len(a), a.shape[1])]
     defect, is_herm, mu = (np.concatenate(arrays) for arrays in zip(*parts))
     norm = np.sqrt(np.maximum(mu[:, -1], 0.0))
-    fields = {
-        "is_hermitian": is_herm,
-        "hermiticity_defect": defect,
-        "norm": norm,
-        "is_contraction": norm <= 1.0 + CONTRACTION_TOL,
-    }
-    if single:
-        fields = {name: value[0].item() for name, value in fields.items()}
-    return ContractionCertificate(**fields)
+    return ContractionCertificate(
+        is_hermitian=is_herm,
+        hermiticity_defect=defect,
+        norm=norm,
+        is_contraction=norm <= 1.0 + CONTRACTION_TOL,
+    )
 
 
-def clifford_generators(m: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[np.ndarray, ...]:
+def clifford_generators(m: int) -> tuple[np.ndarray, ...]:
     """m mutually anticommuting Hermitian involutions on 2^ceil(m/2) dimensions.
 
     Jordan-Wigner pattern on n = ceil(m/2) qubits:
@@ -113,9 +109,9 @@ def clifford_generators(m: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[np.n
         raise ValueError("need at least one generator")
     n = (m + 1) // 2
     dim = 2 ** n
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise DimensionCapError(
-            f"{m} generators need dimension 2^{n} = {dim}, above the cap {dim_cap}"
+            f"{m} generators need dimension 2^{n} = {dim}, above the cap {DEFAULT_DIM_CAP}"
         )
     x, y, z = _PAULI["x"], _PAULI["y"], _PAULI["z"]
     eye = np.eye(2, dtype=complex)
@@ -130,30 +126,10 @@ def clifford_generators(m: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[np.n
     return tuple(gens[:m])
 
 
-@dataclass(frozen=True)
-class RandomEnsembleConfig:
-    """Deterministic recipe for one random operator.
-
-    Identical configs produce bit-identical matrices.
-    """
-
-    seed: int
-    dim: int
-    kind: str  # 'contraction' or 'unitary_involution'
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {self.kind!r}")
-
-
-def random_operator(config):
-    """Seeded random self-adjoint contraction or unitary involution, for
-    one RandomEnsembleConfig (a matrix), or a (k, d, d) stack for a
-    sequence of configs that share one kind and one dim.
+def random_operator(kind: str, dim: int, seeds) -> np.ndarray:
+    """A (k, dim, dim) stack of seeded random self-adjoint contractions or
+    unitary involutions, one per seed in ``seeds``; equal arguments give
+    bit-identical stacks.
 
     contraction: symmetrized complex Gaussian rescaled to norm s with s
     uniform on [0, 1), hence always a strict contraction.
@@ -164,25 +140,28 @@ def random_operator(config):
     Generator(PCG64(seed)): 4 d^2 for the real and imaginary Gaussian
     parts (Box-Muller: u1 shifted into (0, 1] to avoid log 0, then u2),
     then s, or the d signs. Box-Muller, the norms and the QR then run once
-    on the whole stack; each matrix equals the one its config gives alone.
+    on the whole stack; each matrix equals the one its seed gives alone.
     """
-    single = isinstance(config, RandomEnsembleConfig)
-    configs = [config] if single else list(config)
-    if len({(c.kind, c.dim) for c in configs}) != 1:
-        raise ValueError("random_operator needs configs that share one kind and one dim")
-    kind, d = configs[0].kind, configs[0].dim
-    n, tail = 4 * d * d, 1 if kind == "contraction" else d
-    u = np.stack([np.random.Generator(np.random.PCG64(c.seed)).random(n + tail) for c in configs])
-    parts = u[:, :n].reshape(len(configs), 4, d, d)
+    if kind not in ENSEMBLE_KINDS:
+        raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {kind!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim!r}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    for s in seeds:
+        if not 0 <= s < 2 ** 64:
+            raise ValueError(f"seeds must be unsigned 64-bit integers, got {s!r}")
+    n, tail = 4 * dim * dim, 1 if kind == "contraction" else dim
+    u = np.stack([np.random.Generator(np.random.PCG64(s)).random(n + tail) for s in seeds])
+    parts = u[:, :n].reshape(len(seeds), 4, dim, dim)
     normals = np.sqrt(-2.0 * np.log(1.0 - parts[:, 0::2])) * np.cos(2.0 * math.pi * parts[:, 1::2])
     g = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
     if kind == "contraction":
         h = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
         norm = spectral_norm(h)
         scale = np.divide(u[:, -1], norm, out=np.ones(len(u)), where=norm > 0.0)  # 0 stays 0
-        ops = h * scale[:, None, None]
-    else:
-        q, _ = np.linalg.qr(g)
-        signs = np.where(u[:, n:] < 0.5, -1.0, 1.0)
-        ops = (q * signs[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
-    return ops[0] if single else ops
+        return h * scale[:, None, None]
+    q, _ = np.linalg.qr(g)
+    signs = np.where(u[:, n:] < 0.5, -1.0, 1.0)
+    return (q * signs[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)

@@ -128,25 +128,25 @@ def hermitian_eig(a: np.ndarray) -> SpectralSummary:
     )
 
 
-def spectral_norm(a: np.ndarray):
-    """Operator norm (largest singular value) of a square matrix, as a
-    float, or of every matrix in a (k, d, d) stack, as an array of k norms.
+def spectral_norm(a: np.ndarray) -> np.ndarray:
+    """Operator norms (largest singular values) of the matrices of a
+    (k, d, d) stack, as an array of k norms.
 
     Computed as sqrt(lambda_max(a* a)), which reuses the Hermitian
-    eigensolver and agrees with max |eigenvalue| for Hermitian input. A
-    stack goes through one batched product and one batched eigvalsh call,
-    with the same arithmetic per matrix as the single-matrix case. Non-finite
-    norms (from NaN/Inf entries, or an a* a that overflows) are refused.
+    eigensolver and agrees with max |eigenvalue| for Hermitian input: one
+    batched product and one batched eigvalsh call for the whole stack.
+    Any other shape, a single matrix included, and non-finite norms (from
+    NaN/Inf entries, or an a* a that overflows) are refused.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        a = as_operator(a)  # a matrix; raises the shape error for a stack it cannot measure
+        raise ValueError(f"need a (k, d, d) stack, each a nonempty square matrix, got shape {a.shape}")
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite norm is named below
         w = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)[..., -1]
         norms = np.sqrt(np.maximum(w, 0.0))
     if not np.isfinite(norms).all():
         raise ValueError("spectral norm is not finite (NaN/Inf entries, or a* a overflows)")
-    return float(norms) if a.ndim == 2 else norms
+    return norms
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,12 @@ themselves are proven.
 
 Per-trial seeds are derived from (sweep seed, trial index), and each
 operator gets its own seed from its trial's generator, so results do not
-depend on the order or grouping of trials. run_sweep draws the operators
-of SWEEP_CHUNK trials at a time as stacks, one random_operator call per
-(kind, dim), and then evaluates each trial alone.
+depend on the order or grouping of trials. run_trial takes a sequence of
+trial indices: it plans each trial as (kind, dim, seed) operator recipes,
+draws the operators of all of them as stacks, one
+random_operator(kind, dim, seeds) call per (kind, dim), and then
+evaluates each trial alone. run_sweep passes it SWEEP_CHUNK trials at a
+time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import TensorSumInstance, build_report, exceeded_bounds
-from .families import ENSEMBLE_KINDS, RNG_ALGORITHM, RandomEnsembleConfig, random_operator
+from .families import ENSEMBLE_KINDS, RNG_ALGORITHM, random_operator
 from .graphs import complete_graph, random_graph_min_degree_one
 from .linalg import DEFAULT_DIM_CAP, check_dim_cap
 
@@ -87,7 +90,7 @@ def trial_seed(sweep_seed: int, index: int) -> int:
 def _plan(config: SweepConfig, index: int):
     """What a trial draws from its own generator, in this order: m, dim_h,
     dim_k, the weights, 2m operator recipes (x_1..x_m, then y_1..y_m, each
-    a kind and a seed) and the graph. No operator is made here."""
+    a (kind, dim, seed) tuple) and the graph. No operator is made here."""
     rng = np.random.Generator(np.random.PCG64(trial_seed(config.seed, index)))
     m = int(rng.integers(2, config.max_m + 1))
     dims = [int(rng.integers(1, config.max_dim + 1)) for _ in range(2)]  # dim_h, dim_k
@@ -97,7 +100,7 @@ def _plan(config: SweepConfig, index: int):
         for _ in range(m):
             kind = config.kinds[int(rng.integers(0, len(config.kinds)))]
             seed = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-            recipes.append(RandomEnsembleConfig(seed=seed, dim=dim, kind=kind))
+            recipes.append((kind, dim, seed))
     if config.graph_mode == "complete":
         return weights, recipes, complete_graph(m)
     return weights, recipes, random_graph_min_degree_one(m, rng)
@@ -128,9 +131,8 @@ def _trial_result(config: SweepConfig, index: int, inst: TensorSumInstance, repo
     )
 
 
-def run_trial(config: SweepConfig, index):
-    """The TrialResult of one trial index, or a tuple of them, in order,
-    for a sequence of indices.
+def run_trial(config: SweepConfig, indices) -> tuple[TrialResult, ...]:
+    """The TrialResults of a sequence of trial indices, in order.
 
     Every trial first draws its plan (_plan) from its own generator. The
     first trial above the dimension cap raises DimensionCapError before
@@ -138,21 +140,21 @@ def run_trial(config: SweepConfig, index):
     makes the operators of all the trials, and build_report evaluates each
     trial alone, so no trial's result depends on the others.
     """
-    indices = [index] if np.ndim(index) == 0 else list(index)
+    indices = list(indices)
     plans = [_plan(config, i) for i in indices]
-    groups: dict[tuple[str, int], list[RandomEnsembleConfig]] = {}
+    groups: dict[tuple[str, int], list[int]] = {}
     for _, recipes, _ in plans:
-        check_dim_cap(recipes[0].dim, recipes[-1].dim, config.dim_cap)
-        for r in recipes:
-            groups.setdefault((r.kind, r.dim), []).append(r)
-    made = {key: iter(random_operator(group)) for key, group in groups.items()}
+        check_dim_cap(recipes[0][1], recipes[-1][1], config.dim_cap)  # dim_h, dim_k
+        for kind, dim, seed in recipes:
+            groups.setdefault((kind, dim), []).append(seed)
+    made = {key: iter(random_operator(*key, seeds)) for key, seeds in groups.items()}
     results = []
     for i, (weights, recipes, graph) in zip(indices, plans):
-        ops = [next(made[r.kind, r.dim]) for r in recipes]
+        ops = [next(made[kind, dim]) for kind, dim, _ in recipes]
         inst = TensorSumInstance(ops[: len(weights)], ops[len(weights) :], weights)
         report = build_report(inst, graph, dim_cap=config.dim_cap)
         results.append(_trial_result(config, i, inst, report))
-    return results[0] if np.ndim(index) == 0 else tuple(results)
+    return tuple(results)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from tensorbound import (
     pauli,
     random_graph_min_degree_one,
     random_operator,
-    RandomEnsembleConfig,
     require_domination,
     run_sweep,
     star_graph,
@@ -78,13 +77,11 @@ def test_criterion_02_chsh_identity():
         dim_a = int(rng.integers(2, 5))
         dim_b = int(rng.integers(2, 5))
 
-        def involution(dim, sub):
-            return random_operator(
-                RandomEnsembleConfig(seed=20_000 + seed * 10 + sub, dim=dim,
-                                     kind="unitary_involution")
-            )
-
-        ops = [involution(dim_a, 0), involution(dim_a, 1), involution(dim_b, 2), involution(dim_b, 3)]
+        base = 20_000 + seed * 10
+        ops = [
+            *random_operator("unitary_involution", dim_a, [base + 0, base + 1]),
+            *random_operator("unitary_involution", dim_b, [base + 2, base + 3]),
+        ]
         assert max(map(involution_defect, ops)) <= 1e-9
         assert chsh_square_residual(*ops) <= 1e-9
 

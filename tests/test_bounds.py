@@ -25,7 +25,6 @@ from tensorbound import (
     DominationError,
     DominationReport,
     InstanceValidationError,
-    RandomEnsembleConfig,
     TensorSumInstance,
     chain_graph,
     check_domination,
@@ -92,9 +91,7 @@ def random_instance(seed, m=None, max_dim=4):
 
     def draw(dim):
         kind = kinds[int(rng.integers(0, 2))]
-        return random_operator(
-            RandomEnsembleConfig(seed=int(rng.integers(0, 2**63)), dim=dim, kind=kind)
-        )
+        return random_operator(kind, dim, [int(rng.integers(0, 2**63))])[0]
 
     weights = rng.uniform(-2, 2, m)
     return TensorSumInstance(
@@ -237,10 +234,8 @@ class TestValidationPassCount:
     @pytest.mark.parametrize("m", [1, 3, 12])
     def test_two_validate_and_two_eigvalsh_calls(self, m, monkeypatch):
         rng = np.random.default_rng(m)
-        x = [random_operator(RandomEnsembleConfig(seed=int(s), dim=3, kind="contraction"))
-             for s in rng.integers(0, 2**32, m)]
-        y = [random_operator(RandomEnsembleConfig(seed=int(s), dim=2, kind="unitary_involution"))
-             for s in rng.integers(0, 2**32, m)]
+        x = random_operator("contraction", 3, [int(s) for s in rng.integers(0, 2**32, m)])
+        y = random_operator("unitary_involution", 2, [int(s) for s in rng.integers(0, 2**32, m)])
         calls = Counter()
 
         def counted(name, fn):
@@ -258,8 +253,7 @@ class TestValidationPassCount:
 class TestPhiTable:
     def test_pauli_pair(self):
         # Z and X anticommute: ||[Z,X]|| = 2 and ||{Z,X}|| = 0, so phi = (2*2 + 0)/2
-        assert spectral_norm(SZ @ SX - SX @ SZ) == 2.0
-        assert spectral_norm(SZ @ SX + SX @ SZ) == 0.0
+        assert spectral_norm(np.stack([SZ @ SX - SX @ SZ, SZ @ SX + SX @ SZ])).tolist() == [2.0, 0.0]
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
         assert phi_table(inst).values[0, 1] == 2.0
 
@@ -281,7 +275,7 @@ class TestPhiTable:
 
         def norms(ops, i, j):
             p, q = ops[i] @ ops[j], ops[j] @ ops[i]
-            return spectral_norm(p - q), spectral_norm(p + q)
+            return spectral_norm(np.stack([p - q, p + q]))
 
         for i, j in itertools.combinations(range(4), 2):
             assert table.values[i, j] == table.values[j, i]
@@ -370,8 +364,9 @@ class TestCompleteBound:
         reference = float(inst.m)
         for i, j in itertools.combinations(range(4), 2):
             p, q = gens[i] @ gens[j], gens[j] @ gens[i]
-            assert spectral_norm(p + q) ** 2 == 0.0
-            reference += 0.5 * spectral_norm(p - q) ** 2
+            anti, comm = spectral_norm(np.stack([p + q, p - q]))
+            assert anti ** 2 == 0.0
+            reference += 0.5 * comm ** 2
         assert build_report(inst).complete_bound == reference
 
 
@@ -758,18 +753,11 @@ class TestChshIdentity:
     def test_random_involution_quadruples(self, seed):
         rng = np.random.default_rng(seed)
 
-        def involution(dim, s):
-            return random_operator(
-                RandomEnsembleConfig(seed=s, dim=dim, kind="unitary_involution")
-            )
-
         dim_a = int(rng.integers(2, 5))
         dim_b = int(rng.integers(2, 5))
         ops = [
-            involution(dim_a, seed * 4 + 0),
-            involution(dim_a, seed * 4 + 1),
-            involution(dim_b, seed * 4 + 2),
-            involution(dim_b, seed * 4 + 3),
+            *random_operator("unitary_involution", dim_a, [seed * 4 + 0, seed * 4 + 1]),
+            *random_operator("unitary_involution", dim_b, [seed * 4 + 2, seed * 4 + 3]),
         ]
         assert max(map(involution_defect, ops)) <= 1e-9
         assert chsh_square_residual(*ops) <= 1e-9

@@ -9,7 +9,6 @@ import pytest
 from oracles import svd_norm
 from tensorbound import (
     DimensionCapError,
-    RandomEnsembleConfig,
     TensorSumInstance,
     build_report,
     exact_reference,
@@ -30,9 +29,7 @@ def random_instance(seed, m, dim_h, dim_k, weights=None):
 
     def draw(dim):
         kind = kinds[int(rng.integers(0, 2))]
-        return random_operator(
-            RandomEnsembleConfig(seed=int(rng.integers(0, 2**63)), dim=dim, kind=kind)
-        )
+        return random_operator(kind, dim, [int(rng.integers(0, 2**63))])[0]
 
     x = [draw(dim_h) for _ in range(m)]
     y = [draw(dim_k) for _ in range(m)]

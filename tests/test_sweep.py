@@ -22,8 +22,8 @@ class TestDeterminism:
 
     def test_trials_independent_of_order(self):
         config = SweepConfig(trials=10, seed=99)
-        direct = [run_trial(config, i) for i in range(10)]
-        reversed_order = [run_trial(config, i) for i in reversed(range(10))]
+        direct = [run_trial(config, [i])[0] for i in range(10)]
+        reversed_order = [run_trial(config, [i])[0] for i in reversed(range(10))]
         assert direct == sorted(reversed_order, key=lambda t: t.index)
 
 
@@ -31,7 +31,7 @@ class TestStackedTrials:
     CONFIG = SweepConfig(trials=30, seed=13, max_m=6, max_dim=5)
 
     def test_sequence_equals_one_call_per_index(self):
-        single = [run_trial(self.CONFIG, i) for i in range(30)]
+        single = [run_trial(self.CONFIG, [i])[0] for i in range(30)]
         assert run_trial(self.CONFIG, range(30)) == tuple(single)
         assert run_trial(self.CONFIG, list(reversed(range(30)))) == tuple(reversed(single))
 
