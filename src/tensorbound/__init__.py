@@ -15,7 +15,6 @@ from .bounds import (
     DominationError,
     DominationReport,
     ExtremeSpectrum,
-    InstanceValidationError,
     PhiTable,
     TensorSumInstance,
     build_report,
@@ -31,16 +30,9 @@ from .certificates import (
     PhiThresholdBound,
     build_certificate_report,
 )
-from .families import (
-    ContractionCertificate,
-    clifford_generators,
-    pauli,
-    random_operator,
-    validate,
-)
+from .families import clifford_generators, pauli, random_operator
 from .graphs import (
     InteractionGraph,
-    IsolatedVertexError,
     chain_graph,
     complete_graph,
     graph_constant,
@@ -56,12 +48,10 @@ from .instance_io import (
 )
 from .linalg import (
     DEFAULT_DIM_CAP,
-    DimensionCapError,
     LanczosResult,
     SpectralSummary,
     as_operator,
     lanczos_extremes,
-    spectral_norm,
 )
 from .sweep import SweepConfig, SweepResult, run_sweep
 
@@ -70,17 +60,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CertificateReport",
-    "ContractionCertificate",
     "CountingBound",
     "DEFAULT_DIM_CAP",
-    "DimensionCapError",
     "DominationCheck",
     "DominationError",
     "DominationReport",
     "ExtremeSpectrum",
-    "InstanceValidationError",
     "InteractionGraph",
-    "IsolatedVertexError",
     "LanczosResult",
     "PhiTable",
     "PhiThresholdBound",
@@ -110,7 +96,5 @@ __all__ = [
     "require_domination",
     "run_sweep",
     "save_instance",
-    "spectral_norm",
     "star_graph",
-    "validate",
 ]

@@ -49,10 +49,6 @@ DOM_TOL = 1e-12
 LANCZOS_MIN_DIM = 256
 
 
-class InstanceValidationError(ValueError):
-    """An operator or weight vector fails the instance invariants."""
-
-
 class DominationError(ValueError):
     """Edge domination fails, so the graph-restricted bound is not proven.
 
@@ -70,16 +66,16 @@ def as_weights(weights, m: int | None = None) -> np.ndarray:
     try:
         w = np.asarray(weights, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        raise InstanceValidationError("weights must be finite reals") from None
+        raise ValueError("weights must be finite reals") from None
     if m is not None and w.shape != (m,):
-        raise InstanceValidationError(f"expected {m} weights, got shape {w.shape}")
+        raise ValueError(f"expected {m} weights, got shape {w.shape}")
     if w.ndim != 1 or w.size < 1:
-        raise InstanceValidationError(f"weights must be a nonempty vector, got shape {w.shape}")
+        raise ValueError(f"weights must be a nonempty vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
-        raise InstanceValidationError("weights must be finite reals")
+        raise ValueError("weights must be finite reals")
     total = sum(map(abs, w.tolist()))  # Python floats overflow to inf without a warning
     if not math.isfinite(4 * w.size * total * total):
-        raise InstanceValidationError("weights too large: 4 m (sum |c_i|)^2 overflows")
+        raise ValueError("weights too large: 4 m (sum |c_i|)^2 overflows")
     return w
 
 
@@ -87,10 +83,13 @@ def as_weights(weights, m: int | None = None) -> np.ndarray:
 class TensorSumInstance:
     """A weighted tensor-sum problem: x_i on H, y_i on K, real weights c_i.
 
-    Every operator must be a self-adjoint contraction (checked once, on
-    construction). ``x`` and ``y`` are stored as read-only complex stacks
-    of shape (m, dim_h, dim_h) and (m, dim_k, dim_k). Weights default to
-    all ones and are otherwise checked by as_weights.
+    Every operator must be a self-adjoint contraction. This is the one
+    place operators are checked: linalg.as_operator on each, then
+    families.validate on each side's stack, and a failure raises
+    ValueError naming the first failing operator, x before y. ``x`` and
+    ``y`` are stored as read-only complex stacks of shape (m, dim_h, dim_h)
+    and (m, dim_k, dim_k). Weights default to all ones and are otherwise
+    checked by as_weights.
     """
 
     x: np.ndarray
@@ -101,9 +100,7 @@ class TensorSumInstance:
         x = [as_operator(a) for a in x]
         y = [as_operator(b) for b in y]
         if len(x) != len(y) or not x:
-            raise InstanceValidationError(
-                f"need equally many x and y operators, got {len(x)} and {len(y)}"
-            )
+            raise ValueError(f"need equally many x and y operators, got {len(x)} and {len(y)}")
         m = len(x)
         w = np.ones(m) if weights is None else as_weights(weights, m)
         for side, ops in (("x", x), ("y", y)):
@@ -116,13 +113,15 @@ class TensorSumInstance:
             if failed.size:
                 k = int(failed[0])
                 reason = (
-                    f"not self-adjoint, hermiticity defect {cert.hermiticity_defect[k]:.3e}"
+                    "entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
+                    if cert.norm[k] == np.inf
+                    else f"not self-adjoint, hermiticity defect {cert.hermiticity_defect[k]:.3e}"
                     if not cert.is_hermitian[k]
                     else f"not a contraction, norm {cert.norm[k]:.12g} > 1"
                 )
-                raise InstanceValidationError(f"{side} operator {k + 1} of {len(ops)}: {reason}")
+                raise ValueError(f"{side} operator {k + 1} of {len(ops)}: {reason}")
             if equal < len(ops):
-                raise InstanceValidationError(
+                raise ValueError(
                     f"{side} operator {equal + 1} of {len(ops)}: dimension "
                     f"{ops[equal].shape[0]} differs from the first {side} operator's "
                     f"dimension {dim}"
@@ -358,8 +357,7 @@ def extreme_spectrum(
     up to ``dim_cap``, run matrix-free Lanczos with tolerance
     LANCZOS_TOL * max(1, sum |c_i|), which bounds ||B_c|| because every
     operator is a contraction; if Lanczos misses it, exact_reference runs
-    instead. Raises DimensionCapError above ``dim_cap``, like
-    exact_reference.
+    instead. Raises ValueError above ``dim_cap``, like exact_reference.
     """
     check_dim_cap(inst.dim_h, inst.dim_k, dim_cap)
     n = inst.dim_h * inst.dim_k

@@ -79,8 +79,9 @@ def domination_text(rep: DominationReport) -> str:
             f"{len(rep.violations)} of {len(rep.checks)} non-edge(s)"
         )
     lines = [head]
+    violated = set(rep.violations)
     for c in rep.checks:
-        status = "violated" if c in rep.violations else "ok"
+        status = "violated" if c in violated else "ok"
         lines.append(
             f"  non-edge ({c.pair[0]},{c.pair[1]}): lhs {_fmt(c.lhs)}  "
             f"rhs {_fmt(c.rhs)}  slack {_fmt(c.slack)}  [{status}]"

@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class IsolatedVertexError(ValueError):
-    """Raised when an operation requires minimum degree >= 1."""
-
-
 @dataclass(frozen=True)
 class InteractionGraph:
     """Simple undirected graph on vertices 1..m.
@@ -92,7 +88,7 @@ def graph_constant(g: InteractionGraph) -> float:
     delta = g.min_degree()
     if delta == 0:
         isolated = int(np.argmin(g.degrees)) + 1
-        raise IsolatedVertexError(
+        raise ValueError(
             f"graph constant undefined: vertex {isolated} is isolated "
             f"(minimum degree must be >= 1)"
         )

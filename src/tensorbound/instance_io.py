@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import InstanceValidationError, TensorSumInstance
+from .bounds import TensorSumInstance
 from .graphs import InteractionGraph
 
 SCHEMA_VERSION = "tensorbound/1"
@@ -29,15 +29,13 @@ def _entry_from_json(cell, where: str) -> complex:
         or len(cell) != 2
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell)
     ):
-        raise InstanceValidationError(
-            f"{where}: each entry must be a two-element [re, im] array, got {cell!r}"
-        )
+        raise ValueError(f"{where}: each entry must be a two-element [re, im] array, got {cell!r}")
     try:
         re, im = float(cell[0]), float(cell[1])
     except OverflowError:  # an integer beyond the float range
         re = im = np.inf
     if not (np.isfinite(re) and np.isfinite(im)):
-        raise InstanceValidationError(f"{where}: entries must be finite, got {cell!r}")
+        raise ValueError(f"{where}: entries must be finite, got {cell!r}")
     return complex(re, im)
 
 
@@ -50,7 +48,7 @@ def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
     accepts number subclasses.
     """
     if not isinstance(rows, list) or len(rows) != dim:
-        raise InstanceValidationError(
+        raise ValueError(
             f"{where}: expected {dim} rows, got "
             f"{len(rows) if isinstance(rows, list) else type(rows).__name__}"
         )
@@ -67,9 +65,7 @@ def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
-            raise InstanceValidationError(
-                f"{where}: row {r} must have {dim} entries"
-            )
+            raise ValueError(f"{where}: row {r} must have {dim} entries")
         for c, cell in enumerate(row):
             out[r, c] = _entry_from_json(cell, f"{where}[{r}][{c}]")
     return out
@@ -83,41 +79,41 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 def _positive_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InstanceValidationError(f"{name} must be a positive integer, got {value!r}")
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
 def graph_from_json(obj, m: int) -> InteractionGraph:
-    """Graph object {"edges": [[i, j], ...]} with 0-based vertex indices."""
+    """Graph object {"edges": [[i, j], ...]} with 0-based vertex indices.
+
+    Each refusal names the edge as the file writes it, ``graph.edges[k]``.
+    """
     if not isinstance(obj, dict):
-        raise InstanceValidationError("graph must be an object with an 'edges' array")
+        raise ValueError("graph must be an object with an 'edges' array")
     if "m" in obj and obj["m"] != m:
-        raise InstanceValidationError(
-            f"graph declares m={obj['m']} but the instance has m={m}"
-        )
+        raise ValueError(f"graph declares m={obj['m']} but the instance has m={m}")
     edges_raw = obj.get("edges")
     if not isinstance(edges_raw, list):
-        raise InstanceValidationError("graph.edges must be an array of [i, j] pairs")
-    edges = []
+        raise ValueError("graph.edges must be an array of [i, j] pairs")
+    first = {}  # each edge {i, j}, as (min, max), at the index of its first occurrence
     for k, pair in enumerate(edges_raw):
         if (
             not isinstance(pair, list)
             or len(pair) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
         ):
-            raise InstanceValidationError(
-                f"graph.edges[{k}]: expected a pair of integers, got {pair!r}"
-            )
+            raise ValueError(f"graph.edges[{k}]: expected a pair of integers, got {pair!r}")
         i, j = pair
+        where = f"graph.edges[{k}] = [{i}, {j}]"
         if not (0 <= i < m and 0 <= j < m):
-            raise InstanceValidationError(
-                f"graph.edges[{k}] = [{i}, {j}] out of range for m={m} (0-based)"
-            )
-        edges.append((i + 1, j + 1))
-    try:
-        return InteractionGraph(m, edges)
-    except ValueError as exc:
-        raise InstanceValidationError(f"graph: {exc}") from exc
+            raise ValueError(f"{where} out of range for m={m} (0-based)")
+        if i == j:
+            raise ValueError(f"{where} is a self-loop, which is not allowed")
+        key = (min(i, j), max(i, j))
+        if key in first:
+            raise ValueError(f"{where} duplicates graph.edges[{first[key]}]")
+        first[key] = k
+    return InteractionGraph(m, [(i + 1, j + 1) for i, j in first])
 
 
 def graph_to_json(g: InteractionGraph) -> dict:
@@ -126,33 +122,29 @@ def graph_to_json(g: InteractionGraph) -> dict:
 
 def instance_from_dict(doc) -> tuple[TensorSumInstance, InteractionGraph | None]:
     if not isinstance(doc, dict):
-        raise InstanceValidationError("instance file must hold a JSON object")
+        raise ValueError("instance file must hold a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise InstanceValidationError(
-            f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}"
-        )
+        raise ValueError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}")
     dim_h = _positive_int(doc.get("dim_h"), "dim_h")
     dim_k = _positive_int(doc.get("dim_k"), "dim_k")
     x_raw = doc.get("x")
     y_raw = doc.get("y")
     if not isinstance(x_raw, list) or not x_raw:
-        raise InstanceValidationError("x must be a nonempty array of matrices")
+        raise ValueError("x must be a nonempty array of matrices")
     if not isinstance(y_raw, list) or len(y_raw) != len(x_raw):
-        raise InstanceValidationError(
-            f"y must be an array of {len(x_raw)} matrices to match x"
-        )
+        raise ValueError(f"y must be an array of {len(x_raw)} matrices to match x")
     m = len(x_raw)
     x = [matrix_from_json(rows, dim_h, f"x[{k}]") for k, rows in enumerate(x_raw)]
     y = [matrix_from_json(rows, dim_k, f"y[{k}]") for k, rows in enumerate(y_raw)]
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != m:
-            raise InstanceValidationError(f"weights must be an array of {m} numbers")
+            raise ValueError(f"weights must be an array of {m} numbers")
         if not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in weights
         ):
-            raise InstanceValidationError("weights must be numbers")
+            raise ValueError("weights must be numbers")
     inst = TensorSumInstance(x, y, weights)
     graph = None
     if doc.get("graph") is not None:
@@ -181,7 +173,7 @@ def _read_json(path):
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise InstanceValidationError(f"{path}: not valid JSON: {exc}") from exc
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:

@@ -135,8 +135,8 @@ def run_trial(config: SweepConfig, indices) -> tuple[TrialResult, ...]:
     """The TrialResults of a sequence of trial indices, in order.
 
     Every trial first draws its plan (_plan) from its own generator. The
-    first trial above the dimension cap raises DimensionCapError before
-    any operator is made. One random_operator call per (kind, dim) then
+    first trial above the dimension cap raises ValueError before any
+    operator is made. One random_operator call per (kind, dim) then
     makes the operators of all the trials, and build_report evaluates each
     trial alone, so no trial's result depends on the others.
     """

@@ -21,10 +21,8 @@ from oracles import (
     two_term_residual,
 )
 from tensorbound import (
-    DimensionCapError,
     DominationError,
     DominationReport,
-    InstanceValidationError,
     TensorSumInstance,
     chain_graph,
     check_domination,
@@ -36,14 +34,13 @@ from tensorbound import (
     phi_table,
     random_operator,
     require_domination,
-    spectral_norm,
 )
 from tensorbound import bounds, linalg
 from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
 from tensorbound.demos import build_demo
-from tensorbound.families import CONTRACTION_TOL
+from tensorbound.families import CONTRACTION_TOL, HERM_TOL_FACTOR
 from tensorbound.graphs import InteractionGraph, random_graph_min_degree_one
-from tensorbound.linalg import HERM_TOL_FACTOR
+from tensorbound.linalg import spectral_norm
 
 SX = pauli("x")
 SY = pauli("y")
@@ -57,14 +54,22 @@ def test_exports_resolve_and_are_sorted():
 
     assert [n for n in tensorbound.__all__ if not hasattr(tensorbound, n)] == []
     assert tensorbound.__all__ == sorted(set(tensorbound.__all__))
-    # library-only names removed from the public API; tests compute the identities in oracles.py
+    assert len(tensorbound.__all__) == 39
+    # library-only names removed from the public API; tests compute the identities in oracles.py.
+    # Every refusal is a ValueError, and validate and spectral_norm take checked stacks only.
     removed = (
+        "ContractionCertificate",
+        "DimensionCapError",
+        "InstanceValidationError",
+        "IsolatedVertexError",
         "TwoTermSharpness",
         "anticommutator",
         "chsh_identity_residual",
         "commutator",
         "cycle_graph",
+        "spectral_norm",
         "two_term_sharpness",
+        "validate",
     )
     assert [n for n in removed if hasattr(tensorbound, n)] == []
 
@@ -116,31 +121,31 @@ def dense_instance(seed, dim_h, dim_k, weights):
 
 class TestInstanceValidation:
     def test_rejects_non_contraction_naming_operator(self):
-        with pytest.raises(InstanceValidationError, match=r"x operator 2 of 2.*contraction"):
+        with pytest.raises(ValueError, match=r"x operator 2 of 2.*contraction"):
             TensorSumInstance([SZ, 2 * SX], [SZ, SX])
 
     def test_rejects_non_hermitian_naming_operator(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(InstanceValidationError, match=r"y operator 1 of 1.*self-adjoint"):
+        with pytest.raises(ValueError, match=r"y operator 1 of 1.*self-adjoint"):
             TensorSumInstance([SZ], [bad])
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(InstanceValidationError, match="equally many"):
+        with pytest.raises(ValueError, match="equally many"):
             TensorSumInstance([SZ, SX], [SZ])
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(InstanceValidationError, match="dimension"):
+        with pytest.raises(ValueError, match="dimension"):
             TensorSumInstance([SZ, np.eye(3, dtype=complex) * 0.5], [SZ, SZ])
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(InstanceValidationError, match="weights"):
+        with pytest.raises(ValueError, match="weights"):
             TensorSumInstance([SZ], [SZ], [1.0, 2.0])
-        with pytest.raises(InstanceValidationError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             TensorSumInstance([SZ], [SZ], [np.inf])
 
     @pytest.mark.parametrize("weights", [[1e200, 1.0], [1e154, 1e154], [-1.5e308, 1e308]])
     def test_rejects_weights_whose_bounds_overflow(self, weights):
-        with pytest.raises(InstanceValidationError, match=r"weights too large: 4 m \(sum \|c_i\|\)\^2"):
+        with pytest.raises(ValueError, match=r"weights too large: 4 m \(sum \|c_i\|\)\^2"):
             TensorSumInstance([SZ, SX], [SZ, SX], weights)
 
     def test_accepts_the_largest_weights_whose_bounds_are_finite(self):
@@ -183,7 +188,7 @@ NON_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def validation_message(x, y):
-    with pytest.raises(InstanceValidationError) as err:
+    with pytest.raises(ValueError) as err:
         TensorSumInstance(x, y)
     return str(err.value)
 
@@ -211,6 +216,30 @@ class TestValidationMessages:
     def test_first_failing_operator_and_x_before_y(self):
         assert validation_message([SZ, 2 * SX, NON_HERMITIAN], [NON_HERMITIAN, SX, SZ]) == (
             "x operator 2 of 3: not a contraction, norm 2 > 1"
+        )
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_entries_whose_gram_product_overflows(self, where):
+        big = SZ.copy()
+        big[where] = 1e200
+        assert validation_message([SZ, big], [SZ, SX]) == (
+            "x operator 2 of 2: entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
+        )
+
+    def test_entries_whose_hermiticity_defect_overflows(self):
+        # ||a||_F^2 = 7.2e307 is finite, ||a - a*||_F^2 = 2.88e308 is not
+        a = np.array([[0, 6e153], [-6e153, 0]], dtype=complex)
+        assert validation_message([SZ, SX], [SZ, a]) == (
+            "y operator 2 of 2: entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
+        )
+
+    def test_overflow_is_one_more_failure_in_order(self):
+        big = np.full((2, 2), 1e200, dtype=complex)
+        assert validation_message([SZ, 2 * SX, big], [big, SX, SZ]) == (
+            "x operator 2 of 3: not a contraction, norm 2 > 1"
+        )
+        assert validation_message([SZ, SX, big], [NON_HERMITIAN, SX, SZ]) == (
+            "x operator 3 of 3: entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
         )
 
     def test_defect_before_a_dimension_mismatch_is_reported_first(self):
@@ -248,6 +277,23 @@ class TestValidationPassCount:
         monkeypatch.setattr(bounds, "validate", counted("validate", bounds.validate))
         TensorSumInstance(x, y)
         assert calls == {"validate": 2, "eigvalsh": 2}
+
+    def test_entries_are_scanned_for_nan_and_inf_once(self, monkeypatch):
+        # linalg.as_operator is the one finiteness scan: one per operator,
+        # none in validate, and none in phi_table, which takes checked stacks
+        calls = Counter()
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls["isfinite"] += 1
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        inst = TensorSumInstance([SX, SY, SZ], [SZ, SX, SY])
+        assert calls["isfinite"] == 2 * inst.m
+        calls.clear()
+        phi_table(inst)
+        assert calls["isfinite"] == 0
 
 
 class TestPhiTable:
@@ -657,7 +703,7 @@ class TestExactReference:
 
     def test_dimension_cap_enforced(self):
         inst = TensorSumInstance([SZ], [SZ])
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(ValueError, match=r"2\*2 = 4 exceeds the cap 2"):
             exact_reference(inst, dim_cap=2)
 
     # (dim_h, dim_k): tiles of 2 x entries with an overlapping last tile;
@@ -687,7 +733,7 @@ class TestExactReference:
         inst = dense_instance(7, 32, 32, np.array([1.0, -0.5]))
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionCapError) as err:
+            with pytest.raises(ValueError) as err:
                 exact_reference(inst, dim_cap=1023)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -491,6 +491,20 @@ class TestOutsideNumbers:
         assert proc.stderr.startswith("error: ")
         assert not any(word in proc.stdout.lower() for word in ("inf", "nan"))
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_operator_entries_whose_gram_product_overflows(self, demo_dir, tmp_path, where):
+        # finite entries whose a* a overflows: one named error line, no numpy warning
+        doc = json.loads((demo_dir / "demo-star-5.json").read_text())
+        doc["x"][0][where[0]][where[1]] = [1e200, 0.0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("bound", str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: x operator 1 of 5: entries too large: "
+            "||a||_F^2 or ||a - a*||_F^2 overflows\n"
+        )
+
     def test_infinite_threshold_in_text_certifies_no_pair(self):
         # refused in text as under --output json: no report holds an inf
         proc = run_cli("certify", "--weights", "1,1", "--beta", "2", "-t", "inf")

@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eig2x2_hermitian, involution_defect
-from tensorbound import (
-    DimensionCapError,
-    clifford_generators,
-    pauli,
-    random_operator,
-    spectral_norm,
-    validate,
-)
-from tensorbound.families import ENSEMBLE_KINDS
+from tensorbound import clifford_generators, pauli, random_operator
+from tensorbound.families import ENSEMBLE_KINDS, validate
+from tensorbound.linalg import spectral_norm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -70,6 +64,13 @@ class TestValidate:
         cert = validate(np.array([[[0, 1], [0, 0]]], dtype=complex))
         assert cert.is_hermitian.tolist() == [False]
         assert cert.hermiticity_defect[0] > 1.0
+
+    def test_entries_too_large_give_an_infinite_norm(self):
+        # a* a of the first matrix overflows; its batch-mate's norm is untouched
+        big = np.full((2, 2), 1e200, dtype=complex)
+        cert = validate(np.stack([big, pauli("x")]))
+        assert cert.norm.tolist() == [np.inf, validate(pauli("x")[None]).norm[0]]
+        assert cert.is_contraction.tolist() == [False, True]
 
 
 OPERATOR_KINDS = ("hermitian", "non_hermitian", "scaled_above_one", "involution")
@@ -132,14 +133,6 @@ class TestValidateStack:
         cert = validate(np.zeros((0, 3, 3), dtype=complex))
         assert cert.norm.shape == cert.is_hermitian.shape == (0,)
 
-    @pytest.mark.parametrize(
-        "stack",
-        [np.zeros((2, 2, 3)), np.zeros((1, 0, 0)), np.full((1, 2, 2), np.nan), np.eye(2)],
-    )
-    def test_rejects_malformed_stacks(self, stack):
-        with pytest.raises(ValueError, match="finite square"):
-            validate(stack)
-
 
 class TestCliffordGenerators:
     def test_single_generator(self):
@@ -185,7 +178,7 @@ class TestCliffordGenerators:
 
     def test_dimension_cap(self):
         message = "25 generators need dimension 2^13 = 8192, above the cap 4096"
-        with pytest.raises(DimensionCapError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             clifford_generators(25)
 
     def test_needs_positive_m(self):

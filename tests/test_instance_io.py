@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbound import (
-    InstanceValidationError,
     TensorSumInstance,
     instance_from_dict,
     instance_to_dict,
@@ -156,25 +155,25 @@ class TestValidationErrors:
     def test_wrong_schema_version(self):
         doc = chsh_dict()
         doc["schema_version"] = "tensorbound/99"
-        with pytest.raises(InstanceValidationError, match="schema_version"):
+        with pytest.raises(ValueError, match="schema_version"):
             instance_from_dict(doc)
 
     def test_missing_rows_named(self):
         doc = chsh_dict()
         doc["x"][1] = doc["x"][1][:1]
-        with pytest.raises(InstanceValidationError, match=r"x\[1\]"):
+        with pytest.raises(ValueError, match=r"x\[1\]"):
             instance_from_dict(doc)
 
     def test_bad_entry_named(self):
         doc = chsh_dict()
         doc["y"][0][1][1] = [1.0]
-        with pytest.raises(InstanceValidationError, match=r"y\[0\]\[1\]\[1\]"):
+        with pytest.raises(ValueError, match=r"y\[0\]\[1\]\[1\]"):
             instance_from_dict(doc)
 
     def test_non_finite_entry_rejected(self):
         doc = chsh_dict()
         doc["x"][0][0][0] = [float("inf"), 0.0]
-        with pytest.raises(InstanceValidationError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             instance_from_dict(doc)
 
     # 10**400 is a valid JSON integer that no float can hold
@@ -183,45 +182,45 @@ class TestValidationErrors:
         doc = chsh_dict()
         doc["x"][0][0][0] = cell
         message = r"x\[0\]\[0\]\[0\]: entries must be finite"
-        with pytest.raises(InstanceValidationError, match=message):
+        with pytest.raises(ValueError, match=message):
             instance_from_dict(doc)
 
     def test_oversized_integer_weight_rejected(self):
         doc = chsh_dict()
         doc["weights"] = [1.0, 10**400, 1.0, 1.0]
-        with pytest.raises(InstanceValidationError, match="weights must be finite reals"):
+        with pytest.raises(ValueError, match="weights must be finite reals"):
             instance_from_dict(doc)
-        with pytest.raises(InstanceValidationError, match="weights must be finite reals"):
+        with pytest.raises(ValueError, match="weights must be finite reals"):
             TensorSumInstance([pauli("z")], [pauli("z")], [-(10**400)])
 
     def test_weights_length_checked(self):
         doc = chsh_dict()
         doc["weights"] = [1.0, 2.0]
-        with pytest.raises(InstanceValidationError, match="weights"):
+        with pytest.raises(ValueError, match="weights"):
             instance_from_dict(doc)
 
     def test_graph_index_out_of_range(self):
         doc = chsh_dict()
         doc["graph"] = {"edges": [[0, 4]]}
-        with pytest.raises(InstanceValidationError, match="out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             instance_from_dict(doc)
 
     def test_graph_m_mismatch(self):
         doc = chsh_dict()
         doc["graph"] = {"m": 5, "edges": []}
-        with pytest.raises(InstanceValidationError, match="m=5"):
+        with pytest.raises(ValueError, match="m=5"):
             instance_from_dict(doc)
 
     def test_contraction_failure_surfaces_from_instance(self):
         doc = chsh_dict()
         doc["x"][0] = [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]
-        with pytest.raises(InstanceValidationError, match="contraction"):
+        with pytest.raises(ValueError, match="contraction"):
             instance_from_dict(doc)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{nope")
-        with pytest.raises(InstanceValidationError, match="not valid JSON"):
+        with pytest.raises(ValueError, match="not valid JSON"):
             load_instance(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
@@ -262,20 +261,20 @@ class TestMatrixParsing:
     def test_bad_entry_located_in_large_matrix(self, cell, message):
         rows = self.rows(dim=40)
         rows[17][23] = cell
-        with pytest.raises(InstanceValidationError, match=rf"x\[2\]\[17\]\[23\]: .*{message}"):
+        with pytest.raises(ValueError, match=rf"x\[2\]\[17\]\[23\]: .*{message}"):
             matrix_from_json(rows, 40, "x[2]")
 
     def test_short_row_located(self):
         rows = self.rows()
         rows[3] = rows[3][:4]
-        with pytest.raises(InstanceValidationError, match=r"x\[0\]: row 3 must have 5 entries"):
+        with pytest.raises(ValueError, match=r"x\[0\]: row 3 must have 5 entries"):
             matrix_from_json(rows, 5, "x[0]")
 
     @pytest.mark.parametrize("row", [5, "text", None, {"a": 1}])
     def test_row_that_is_not_a_list_located(self, row):
         rows = self.rows()
         rows[3] = row  # len() of the rows before their types are checked would raise TypeError
-        with pytest.raises(InstanceValidationError, match=r"x\[0\]: row 3 must have 5 entries"):
+        with pytest.raises(ValueError, match=r"x\[0\]: row 3 must have 5 entries"):
             matrix_from_json(rows, 5, "x[0]")
 
     @pytest.mark.parametrize("view", ["contiguous", "strided", "transposed"])
@@ -334,12 +333,29 @@ class TestStandaloneGraph:
     def test_load_graph_bad_pair(self, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({"edges": [[0, 1, 2]]}))
-        with pytest.raises(InstanceValidationError, match=r"edges\[0\]"):
+        with pytest.raises(ValueError, match=r"edges\[0\]"):
             load_graph(path, 3)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[1, 1]], "graph.edges[0] = [1, 1] is a self-loop, which is not allowed"),
+            ([[0, 1], [1, 0]], "graph.edges[1] = [1, 0] duplicates graph.edges[0]"),
+            ([[0, 2], [0, 1], [0, 2]], "graph.edges[2] = [0, 2] duplicates graph.edges[0]"),
+            # the first faulty edge in file order is the one named
+            ([[0, 1], [2, 2], [0, 9]], "graph.edges[1] = [2, 2] is a self-loop, which is not allowed"),
+        ],
+    )
+    def test_load_graph_names_the_edge_as_the_file_writes_it(self, tmp_path, edges, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"edges": edges}))
+        with pytest.raises(ValueError) as err:
+            load_graph(path, 3)
+        assert str(err.value) == message
 
     def test_load_graph_not_json(self, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text("{nope")
-        with pytest.raises(InstanceValidationError) as err:
+        with pytest.raises(ValueError) as err:
             load_graph(path, 3)
         assert str(err.value).startswith(f"{path}: not valid JSON: Expecting property name")

@@ -8,7 +8,6 @@ import pytest
 
 from oracles import svd_norm
 from tensorbound import (
-    DimensionCapError,
     TensorSumInstance,
     build_report,
     exact_reference,
@@ -198,7 +197,7 @@ class TestCapUnchanged:
         return path
 
     def test_extreme_spectrum_refuses_above_cap(self):
-        with pytest.raises(DimensionCapError, match="16\\*17 = 272 exceeds the cap 256"):
+        with pytest.raises(ValueError, match="16\\*17 = 272 exceeds the cap 256"):
             extreme_spectrum(random_instance(11, 3, 16, 17), dim_cap=256)
 
     def test_bound_above_cap_omits_exact(self, path, capsys):

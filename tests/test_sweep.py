@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from tensorbound import DimensionCapError, SweepConfig, cli, run_sweep, sweep
+from tensorbound import SweepConfig, cli, run_sweep, sweep
 from tensorbound.bounds import DOM_TOL
 from tensorbound.sweep import run_trial, trial_seed
 
@@ -38,7 +38,7 @@ class TestStackedTrials:
     def test_first_trial_above_the_cap_raises_before_any_operator(self, monkeypatch):
         config = SweepConfig(trials=10, seed=5, dim_cap=9)
         monkeypatch.setattr(sweep, "random_operator", None)  # any call would fail
-        with pytest.raises(DimensionCapError, match=r"4\*3 = 12 exceeds the cap 9"):
+        with pytest.raises(ValueError, match=r"4\*3 = 12 exceeds the cap 9"):
             run_trial(config, range(10))
 
     def test_dim_cap_sweep_keeps_its_error_and_exit_code(self, capsys):
