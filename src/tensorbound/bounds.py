@@ -158,17 +158,26 @@ def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
     """||[a_i, a_j]|| and ||{a_i, a_j}|| for every pair (first[k], second[k])
     of matrices in the stack ``ops``, as two arrays.
 
+    Each pair takes one product P = a_i a_j: for self-adjoint a, b,
+    ba = (ab)*, so [a, b] = P - P* and {a, b} = P + P*, whose norms are those
+    of the Hermitian i(P - P*) and P + P* (linalg.spectral_norm). An
+    operator that TensorSumInstance accepts may miss self-adjointness by its
+    defect E = a - a*, whose delta = ||E||_F >= ||E|| is at most
+    families.HERM_TOL_FACTOR * max(1, ||a||_F). Since
+    ba - (ab)* = E_b a + b E_a - E_b E_a, each norm then differs from that
+    of the true commutator or anticommutator by at most
+    delta_b ||a|| + ||b|| delta_a + delta_a delta_b.
+
     Pairs go through in linalg.batches, so each temporary stack stays near
     1 MB: one batch holds all 45 pairs of 10 operators up to d = 38, or all
     780 pairs of 40 operators up to d = 9.
     """
     comm, anti = [], []
     for part in batches(len(first), ops.shape[1]):  # one empty batch if m = 1
-        a = ops[first[part]]
-        b = ops[second[part]]
-        p, q = a @ b, b @ a
-        comm.append(spectral_norm(p - q))
-        anti.append(spectral_norm(p + q))
+        p = ops[first[part]] @ ops[second[part]]
+        p_adj = np.swapaxes(p.conj(), -1, -2)
+        comm.append(spectral_norm(1j * (p - p_adj)))
+        anti.append(spectral_norm(p + p_adj))
     return np.concatenate(comm), np.concatenate(anti)
 
 

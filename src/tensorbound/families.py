@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_DIM_CAP, batches, frobenius_norms, spectral_norm
+from .linalg import DEFAULT_DIM_CAP, batches, frobenius_norms
 
 # validate's acceptance rule: an operator a is self-adjoint when
 # ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F), and a contraction when
@@ -60,6 +60,14 @@ class ContractionCertificate:
     is_contraction: np.ndarray
 
 
+def _norms_from_gram(gram: np.ndarray) -> np.ndarray:
+    """Operator norms sqrt(max(mu_max, 0)) from the Gram matrices a* a of a
+    stack, mu_max the largest eigenvalue of one batched eigvalsh. validate
+    reports these norms and random_operator scales by them, so this
+    arithmetic fixes every generated operator to the bit."""
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def _defects_and_norms(a: np.ndarray):
     """Hermiticity defects, their acceptance and the norms of a stack.
 
@@ -74,7 +82,7 @@ def _defects_and_norms(a: np.ndarray):
         gram = adjoint @ a
     large = np.maximum(size, defect) == np.inf
     gram[large] = 0.0
-    norm = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    norm = _norms_from_gram(gram)
     norm[large] = np.inf
     return defect, defect <= HERM_TOL_FACTOR * np.maximum(1.0, size), norm
 
@@ -83,8 +91,9 @@ def validate(a: np.ndarray) -> ContractionCertificate:
     """Certify whether each matrix of a (k, d, d) stack is a self-adjoint
     contraction, one linalg.batches batch at a time: a Frobenius reduction
     gives the hermiticity defects ||a - a*||_F, and one eigvalsh of a* a its
-    largest eigenvalue mu_max, hence the norm sqrt(mu_max) (the arithmetic
-    of linalg.spectral_norm).
+    largest eigenvalue mu_max, hence the norm sqrt(mu_max) (_norms_from_gram,
+    the arithmetic random_operator scales by). The Gram route measures the
+    norm of a matrix that may fail the self-adjointness check.
 
     The stack is taken unchecked: TensorSumInstance passes operators that
     linalg.as_operator has checked to be finite and square. Never raises;
@@ -165,7 +174,7 @@ def random_operator(kind: str, dim: int, seeds) -> np.ndarray:
     g = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
     if kind == "contraction":
         h = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
-        norm = spectral_norm(h)
+        norm = _norms_from_gram(np.swapaxes(h.conj(), -1, -2) @ h)
         scale = np.divide(u[:, -1], norm, out=np.ones(len(u)), where=norm > 0.0)  # 0 stays 0
         return h * scale[:, None, None]
     q, _ = np.linalg.qr(g)

@@ -10,6 +10,7 @@ so json writes them with its C encoder; indented files load unchanged.
 
 from __future__ import annotations
 
+import gc
 import json
 from contextlib import suppress
 from itertools import chain
@@ -169,11 +170,22 @@ def instance_to_dict(
 
 
 def _read_json(path):
+    """The decoded file, with the cyclic collector paused while it decodes.
+
+    An instance file decodes to some 10^5 small [re, im] lists, which would
+    set off collector passes that rescan them as they are built. Decoding
+    makes no reference cycles, so reference counting still frees everything.
+    """
     text = Path(path).read_text(encoding="utf-8")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:

@@ -7,11 +7,12 @@ freely between workers.
 
 ``as_operator`` is the one check of an outside matrix, and
 ``bounds.TensorSumInstance`` is its one caller; every other function here
-takes matrices that came through it (or that random_operator made) and
-checks nothing. The exact path (``kron`` tiles, then ``hermitian_eig``)
+takes matrices that came through it, or were built from such matrices,
+and checks nothing. The exact path (``kron`` tiles, then ``hermitian_eig``)
 is desk-scale by design: ``bounds.exact_reference`` holds the product
 dimension to a cap before it builds anything. The bound computations
 elsewhere never assemble the full tensor product and are dimension-free.
+``spectral_norm`` takes stacks of Hermitian matrices only, and
 ``lanczos_extremes`` finds the two extreme eigenvalues of a Hermitian
 operator known only through its action on vectors.
 """
@@ -123,18 +124,18 @@ def hermitian_eig(a: np.ndarray) -> SpectralSummary:
     )
 
 
-def spectral_norm(a: np.ndarray) -> np.ndarray:
-    """Operator norms (largest singular values) of the matrices of a
-    (k, d, d) stack, as an array of k norms.
+def spectral_norm(h: np.ndarray) -> np.ndarray:
+    """Operator norms of the Hermitian matrices of a (k, d, d) stack, as an
+    array of k norms.
 
-    Computed as sqrt(lambda_max(a* a)), which reuses the Hermitian
-    eigensolver and agrees with max |eigenvalue| for Hermitian input: one
-    batched product and one batched eigvalsh call for the whole stack.
-    The stack is taken unchecked: its matrices are the pair products of a
-    validated instance's contractions, or random_operator's own.
+    A Hermitian matrix's norm is the larger of |lambda_min| and |lambda_max|,
+    so one batched eigvalsh gives every norm, with no Gram product. Like
+    hermitian_eig, eigvalsh reads only each lower triangle and the real part
+    of the diagonal, so nothing checks that the stack is Hermitian: its
+    matrices are i(P - P*) and P + P* for bounds._pair_norms' pair products P.
     """
-    w = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)[..., -1]
-    return np.sqrt(np.maximum(w, 0.0))
+    w = np.linalg.eigvalsh(h)
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
 @dataclass(frozen=True)

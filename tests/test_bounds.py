@@ -40,7 +40,6 @@ from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
 from tensorbound.demos import build_demo
 from tensorbound.families import CONTRACTION_TOL, HERM_TOL_FACTOR
 from tensorbound.graphs import InteractionGraph, random_graph_min_degree_one
-from tensorbound.linalg import spectral_norm
 
 SX = pauli("x")
 SY = pauli("y")
@@ -299,7 +298,7 @@ class TestValidationPassCount:
 class TestPhiTable:
     def test_pauli_pair(self):
         # Z and X anticommute: ||[Z,X]|| = 2 and ||{Z,X}|| = 0, so phi = (2*2 + 0)/2
-        assert spectral_norm(np.stack([SZ @ SX - SX @ SZ, SZ @ SX + SX @ SZ])).tolist() == [2.0, 0.0]
+        assert [svd_norm(SZ @ SX - SX @ SZ), svd_norm(SZ @ SX + SX @ SZ)] == [2.0, 0.0]
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
         assert phi_table(inst).values[0, 1] == 2.0
 
@@ -321,7 +320,7 @@ class TestPhiTable:
 
         def norms(ops, i, j):
             p, q = ops[i] @ ops[j], ops[j] @ ops[i]
-            return spectral_norm(np.stack([p - q, p + q]))
+            return svd_norm(p - q), svd_norm(p + q)
 
         for i, j in itertools.combinations(range(4), 2):
             assert table.values[i, j] == table.values[j, i]
@@ -334,6 +333,74 @@ class TestPhiTable:
         table = phi_table(inst)
         for (i, j), phi in expected.items():
             assert table.values[i, j] == pytest.approx(phi, rel=1e-10, abs=1e-12)
+
+    @given(seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_one_product_matches_the_two_product_gram_formula(self, seed):
+        # on exactly Hermitian operators, the norms of i(P - P*) and P + P*
+        # from P = a_i a_j equal those of ab - ba and ab + ba taken as
+        # sqrt(lambda_max(h* h)), the formula phi_table used before
+        inst = random_instance(seed, m=4, max_dim=6)
+        herm = TensorSumInstance(
+            [(a + a.conj().T) / 2 for a in inst.x], [(b + b.conj().T) / 2 for b in inst.y]
+        )
+
+        def gram_norm(h):
+            return math.sqrt(max(np.linalg.eigvalsh(h.conj().T @ h)[-1], 0.0))
+
+        def norms(ops, i, j):
+            p, q = ops[i] @ ops[j], ops[j] @ ops[i]
+            return gram_norm(p - q), gram_norm(p + q)
+
+        table = phi_table(herm)
+        for i, j in itertools.combinations(range(4), 2):
+            (cx, ax), (cy, ay) = norms(herm.x, i, j), norms(herm.y, i, j)
+            assert table.values[i, j] == pytest.approx(0.5 * (cx * cy + ax * ay), rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_operators_at_the_hermiticity_edge(self, seed):
+        # Operators whose defect delta = ||a - a*||_F sits just under
+        # HERM_TOL_FACTOR * max(1, ||a||_F) are accepted. _pair_norms then
+        # measures P - P* and P + P* for P = ab, where ba - P* = E_b a + b E_a
+        # - E_b E_a with E = a - a*: each norm is off by at most
+        # delta_b ||a|| + ||b|| delta_a + delta_a delta_b.
+        rng = np.random.default_rng(seed)
+        m, dim = 4, 5
+
+        def at_edge():
+            h = random_operator("contraction", dim, [int(rng.integers(0, 2**63))])[0]
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            skew = (g - g.conj().T) / np.linalg.norm(g - g.conj().T)
+            # a - a* = 2 t skew, and ||a||_F >= ||h||_F since skew is orthogonal to h
+            t = 0.5 * 0.999 * HERM_TOL_FACTOR * max(1.0, np.linalg.norm(h))
+            return h + t * skew
+
+        inst = TensorSumInstance([at_edge() for _ in range(m)], [at_edge() for _ in range(m)])
+        rounding = 1e-14
+        first, second = np.triu_indices(m, k=1)
+        sides = []  # per side: (edge bound, true commutator norm, true anticommutator norm) per pair
+        for ops in (inst.x, inst.y):
+            delta = [np.linalg.norm(a - a.conj().T) for a in ops]
+            size = [svd_norm(a) for a in ops]
+            for k, a in enumerate(ops):
+                assert 0.99 * HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a)) < delta[k]
+            comm, anti = bounds._pair_norms(ops, first, second)
+            pairs = []
+            for k, (i, j) in enumerate(zip(first, second)):
+                a, b = ops[i], ops[j]
+                edge = delta[j] * size[i] + size[j] * delta[i] + delta[i] * delta[j]
+                c, s = svd_norm(a @ b - b @ a), svd_norm(a @ b + b @ a)
+                assert abs(comm[k] - c) <= edge + rounding
+                assert abs(anti[k] - s) <= edge + rounding
+                pairs.append((edge, c, s))
+            sides.append(pairs)
+
+        table = phi_table(inst)
+        brute = brute_phi_breakdown(inst.x, inst.y)
+        for k, (i, j) in enumerate(zip(first, second)):
+            (ex, cx, ax), (ey, cy, ay) = sides[0][k], sides[1][k]
+            bound = 0.5 * (ex * (cy + ay) + ey * (cx + ax) + 2 * ex * ey)
+            assert abs(table.values[i, j] - brute[(i, j)]) <= bound + rounding
 
 
 class TestCompleteBound:
@@ -410,7 +477,7 @@ class TestCompleteBound:
         reference = float(inst.m)
         for i, j in itertools.combinations(range(4), 2):
             p, q = gens[i] @ gens[j], gens[j] @ gens[i]
-            anti, comm = spectral_norm(np.stack([p + q, p - q]))
+            anti, comm = svd_norm(p + q), svd_norm(p - q)
             assert anti ** 2 == 0.0
             reference += 0.5 * comm ** 2
         assert build_report(inst).complete_bound == reference

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eig2x2_hermitian, involution_defect
+from oracles import eig2x2_hermitian, involution_defect, svd_norm
 from tensorbound import clifford_generators, pauli, random_operator
-from tensorbound.families import ENSEMBLE_KINDS, validate
+from tensorbound.families import ENSEMBLE_KINDS, _norms_from_gram, validate
 from tensorbound.linalg import spectral_norm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -91,6 +92,12 @@ def draw_operator(rng, kind, dim):
     return h * (scale / top) if top > 0 else h
 
 
+def gram_norm(a):
+    """_norms_from_gram of one matrix, its Gram product formed as validate forms it."""
+    stack = a[None]
+    return _norms_from_gram(np.swapaxes(stack.conj(), -1, -2) @ stack)[0]
+
+
 @st.composite
 def operator_stacks(draw):
     """(kinds, stack): up to 6 operators of dimension 1..6, of mixed kinds."""
@@ -111,8 +118,9 @@ class TestValidateStack:
             single = validate(a[None])
             assert cert.is_hermitian[k] == single.is_hermitian[0] == (kind != "non_hermitian")
             assert cert.is_contraction[k] == single.is_contraction[0]
-            # the same arithmetic as spectral_norm, to the last bit
-            assert cert.norm[k] == single.norm[0] == spectral_norm(a[None])[0]
+            # the same arithmetic as random_operator's norms, to the last bit
+            assert cert.norm[k] == single.norm[0] == gram_norm(a)
+            assert cert.norm[k] == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
             if kind == "scaled_above_one":
                 assert not cert.is_contraction[k]
 
@@ -126,7 +134,8 @@ class TestValidateStack:
             single = validate(a[None])
             assert cert.is_hermitian[k] == single.is_hermitian[0] == (kinds[k] != "non_hermitian")
             assert cert.is_contraction[k] == single.is_contraction[0]
-            assert cert.norm[k] == single.norm[0] == spectral_norm(a[None])[0]
+            assert cert.norm[k] == single.norm[0] == gram_norm(a)
+            assert cert.norm[k] == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
             assert cert.hermiticity_defect[k] == pytest.approx(single.hermiticity_defect[0], rel=1e-13)
 
     def test_empty_stack(self):
@@ -143,7 +152,7 @@ class TestCliffordGenerators:
         g1, g2 = clifford_generators(2)
         assert np.array_equal(g1, pauli("x"))
         assert np.array_equal(g2, pauli("y"))
-        assert spectral_norm(np.stack([g1 @ g2 + g2 @ g1, g1 @ g2 - g2 @ g1])).tolist() == [0.0, 2.0]
+        assert [svd_norm(g1 @ g2 + g2 @ g1), svd_norm(g1 @ g2 - g2 @ g1)] == [0.0, 2.0]
 
     def test_three_generators_dimension_and_anticommutation(self):
         gens = clifford_generators(3)
@@ -198,8 +207,25 @@ class TestRandomOperator:
     def test_involutions_square_to_identity(self, seed):
         dim = 1 + seed % 5
         (op,) = random_operator("unitary_involution", dim, [seed])
-        assert spectral_norm((op @ op - np.eye(dim))[None])[0] <= 1e-10
+        assert svd_norm(op @ op - np.eye(dim)) <= 1e-10
         assert involution_defect(op) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "kind, dim, digest",
+        [
+            ("contraction", 1, "d147386b60e93d710b678ffd6f46cc62ec4d22aa03363658d0d76609edd7d254"),
+            ("contraction", 3, "d02f6da5e1e4b1c8de03d3557f849879d28347a117fbaa2a8b5e6a0ae4ed2726"),
+            ("contraction", 48, "9790110ab054904857e9edd740332e3f1ed1d9e1e009d64b03bfe27c4b8bd597"),
+            ("unitary_involution", 1, "649b2b799614daade2551a143abb2f9fc1b4a8a1b772a41f4f42b28541a9dbee"),
+            ("unitary_involution", 3, "b39b227d0422d503b6fc00cce7a2db9a234350edea85b8fd0f55cae2ff93fa3a"),
+            ("unitary_involution", 48, "319347ffbc6ddd90d71ef43f10944016207d026027315715b50d953093aba748"),
+        ],
+    )
+    def test_stacks_are_pinned_bitwise(self, kind, dim, digest):
+        # sha256 of the complex128 bytes; every sweep trial is drawn from these
+        # stacks, so a moved bit in the arithmetic fails here first
+        stack = random_operator(kind, dim, [0, 1, 7, 12345, 2**64 - 1])
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
 
     def test_deterministic_in_seed(self):
         first = random_operator("contraction", 4, [123456789])

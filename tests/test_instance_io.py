@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -321,6 +322,72 @@ class TestMatrixParsing:
         rows = self.rows()
         rows[4][4] = [np.float64(0.5), 1.0]
         assert matrix_from_json(rows, 5, "x[0]")[4, 4] == 0.5 + 1.0j
+
+
+def _read_good_instance(path):
+    path.write_text(json.dumps(chsh_dict()))
+    load_instance(path)
+
+
+def _read_invalid_json(path):
+    path.write_text("{nope")
+    with pytest.raises(ValueError, match="not valid JSON"):
+        load_instance(path)
+
+
+def _read_schema_refusal(path):
+    doc = chsh_dict()
+    doc["schema_version"] = "tensorbound/99"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="schema_version"):
+        load_instance(path)
+
+
+def _read_graph(path):
+    path.write_text(json.dumps({"edges": [[0, 1]]}))
+    load_graph(path, 2)
+
+
+class TestCollectorState:
+    """_read_json pauses the cyclic collector while json decodes and leaves
+    it as the caller had it, whatever the file holds."""
+
+    @pytest.fixture
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "read",
+        [_read_good_instance, _read_invalid_json, _read_schema_refusal, _read_graph],
+        ids=["good-instance", "invalid-json", "schema-refusal", "load-graph"],
+    )
+    def test_state_is_restored(self, tmp_path, restore_collector, read, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        read(tmp_path / "file.json")
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_paused_while_decoding(self, tmp_path, monkeypatch, restore_collector):
+        seen = []
+        loads = json.loads
+
+        def recording(text):
+            seen.append(gc.isenabled())
+            return loads(text)
+
+        monkeypatch.setattr(instance_io.json, "loads", recording)
+        gc.enable()
+        _read_good_instance(tmp_path / "file.json")
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestStandaloneGraph:

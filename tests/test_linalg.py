@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,9 +91,7 @@ class TestKron:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, int(rng.integers(1, 5)))
         b = random_matrix(rng, int(rng.integers(1, 5)))
-        lhs = spectral_norm(kron(a, b)[None])[0]
-        rhs = spectral_norm(a[None])[0] * spectral_norm(b[None])[0]
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        assert svd_norm(kron(a, b)) == pytest.approx(svd_norm(a) * svd_norm(b), rel=1e-9)
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -110,19 +110,21 @@ class TestKron:
         assert defect(kron(h1, h2)) < 1e-12
         assert defect(kron(s1, s2)) < 1e-12
         # a nonzero hermitian (x) skew product cannot be Hermitian
-        if spectral_norm(h1[None])[0] > 1e-9 and spectral_norm(s2[None])[0] > 1e-9:
+        if svd_norm(h1) > 1e-9 and svd_norm(s2) > 1e-9:
             assert defect(kron(h1, s2)) > 1e-12
 
 
 class TestCommutators:
-    """Commutators ab - ba and anticommutators ab + ba, formed the way
-    bounds._pair_norms forms them, measured by spectral_norm."""
+    """Commutators ab - ba and anticommutators ab + ba of Hermitian a, b, and
+    the Hermitian forms i(P - P*) and P + P* of P = ab that bounds._pair_norms
+    measures with spectral_norm."""
 
     def test_self_commutator_zero(self):
         assert np.array_equal(SZ @ SZ - SZ @ SZ, np.zeros((2, 2)))
 
     def test_pauli_commutator_norm(self):
-        assert spectral_norm((SZ @ SX - SX @ SZ)[None]).tolist() == [2.0]
+        p = SZ @ SX
+        assert spectral_norm((1j * (p - p.conj().T))[None]).tolist() == [2.0]
 
     def test_identity_commutes(self):
         rng = np.random.default_rng(0)
@@ -251,13 +253,21 @@ class TestFrobeniusNorms:
 
 class TestSpectralNorm:
     def test_zero(self):
-        assert spectral_norm(np.zeros((1, 3, 3))).tolist() == [0.0]
+        (norm,) = spectral_norm(np.zeros((1, 3, 3), dtype=complex))
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0  # never -0.0
 
     def test_pauli_x(self):
         assert spectral_norm(SX[None])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_pauli_commutator(self):
-        assert spectral_norm((2 * SZ @ SX)[None]).tolist() == [2.0]
+        # i[Z, X] = i(2iY) = -2Y
+        assert spectral_norm((1j * (SZ @ SX - SX @ SZ))[None]).tolist() == [2.0]
+
+    def test_one_by_one(self):
+        stack = np.array([[[-3.0]], [[0.5]], [[0.0]], [[-0.0]]], dtype=complex)
+        norms = spectral_norm(stack)
+        assert norms.tolist() == [3.0, 0.5, 0.0, 0.0]
+        assert np.copysign(1.0, norms).tolist() == [1.0] * 4
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -273,17 +283,29 @@ class TestSpectralNorm:
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
-    def test_agrees_with_svd_on_general_matrices(self, seed):
+    def test_agrees_with_svd_on_hermitian_stacks(self, seed):
         rng = np.random.default_rng(seed)
-        a = random_matrix(rng, int(rng.integers(1, 7)))
-        assert spectral_norm(a[None])[0] == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
+        dim = int(rng.integers(1, 7))
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 6)))])
+        expected = [svd_norm(a) for a in stack]
+        assert spectral_norm(stack) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    def test_agrees_with_svd_on_a_stack_of_several_batches(self):
+        # 40 matrices of d = 64 fill linalg.batches three times over
+        rng = np.random.default_rng(11)
+        dim = 64
+        assert len(batches(40, dim)) == 3
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(40)])
+        stack[7] = 0.0
+        expected = [svd_norm(a) for a in stack]
+        assert spectral_norm(stack) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     @given(seeds)
     @settings(max_examples=15, deadline=None)
     def test_stack_matches_each_matrix_exactly(self, seed):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 7))
-        stack = np.stack([random_matrix(rng, dim) for _ in range(int(rng.integers(1, 6)))])
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 6)))])
         norms = spectral_norm(stack)
         assert norms.shape == (len(stack),)
         assert norms.tolist() == [spectral_norm(a[None])[0] for a in stack]
