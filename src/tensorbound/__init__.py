@@ -14,7 +14,6 @@ from .bounds import (
     DominationCheck,
     DominationError,
     DominationReport,
-    ExtremeSpectrum,
     PhiTable,
     TensorSumInstance,
     build_report,
@@ -48,7 +47,7 @@ from .instance_io import (
 )
 from .linalg import (
     DEFAULT_DIM_CAP,
-    LanczosResult,
+    ExtremeSpectrum,
     SpectralSummary,
     as_operator,
     lanczos_extremes,
@@ -67,7 +66,6 @@ __all__ = [
     "DominationReport",
     "ExtremeSpectrum",
     "InteractionGraph",
-    "LanczosResult",
     "PhiTable",
     "PhiThresholdBound",
     "SCHEMA_VERSION",

@@ -9,7 +9,8 @@ and never assemble the product space, so they are dimension-free. The
 exact reference path does assemble it (under the dimension cap) and
 diagonalizes, giving ground truth to compare the bounds against; when only
 the extreme eigenvalues are needed, ``extreme_spectrum`` finds them by
-matrix-free Lanczos on larger product spaces.
+matrix-free Lanczos on larger product spaces. Both return
+``linalg.ExtremeSpectrum``, which names the method that produced it.
 
 Index convention: operators are stored 0-based (Python); pairs in reports
 and error messages are 1-based to match the graph module.
@@ -28,6 +29,7 @@ from .linalg import (
     BATCH_ENTRIES,
     DEFAULT_DIM_CAP,
     LANCZOS_TOL,
+    ExtremeSpectrum,
     SpectralSummary,
     as_operator,
     batches,
@@ -320,24 +322,6 @@ def exact_reference(
     return hermitian_eig(b)
 
 
-@dataclass(frozen=True)
-class ExtremeSpectrum:
-    """Extreme eigenvalues and norm of B_c, and how they were computed.
-
-    ``method`` is "dense" (assembled and diagonalized by exact_reference),
-    "lanczos" (matrix-free), or "dense-fallback" (exact_reference after
-    Lanczos missed its tolerance). ``steps`` and ``residual`` describe the
-    Lanczos run and are None on the dense path.
-    """
-
-    lambda_min: float
-    lambda_max: float
-    spectral_norm: float
-    method: str
-    steps: int | None = None
-    residual: float | None = None
-
-
 def _tensor_sum_matvec(inst: TensorSumInstance):
     """v -> B_c v without forming B_c.
 
@@ -365,8 +349,11 @@ def extreme_spectrum(
     Up to LANCZOS_MIN_DIM this is exact_reference. Larger product spaces,
     up to ``dim_cap``, run matrix-free Lanczos with tolerance
     LANCZOS_TOL * max(1, sum |c_i|), which bounds ||B_c|| because every
-    operator is a contraction; if Lanczos misses it, exact_reference runs
-    instead. Raises ValueError above ``dim_cap``, like exact_reference.
+    operator is a contraction. The Lanczos result is returned as it is
+    when the explicit residual of its run is within that tolerance;
+    otherwise exact_reference runs instead ("dense-fallback", keeping the
+    run's steps and residual). Raises ValueError above ``dim_cap``, like
+    exact_reference.
     """
     check_dim_cap(inst.dim_h, inst.dim_k, dim_cap)
     n = inst.dim_h * inst.dim_k
@@ -374,20 +361,11 @@ def extreme_spectrum(
     if n > LANCZOS_MIN_DIM:
         scale = max(1.0, float(np.sum(np.abs(inst.weights))))
         run = lanczos_extremes(_tensor_sum_matvec(inst), n, scale)
-    if run is not None and run.converged:
-        lo, hi, method = run.lambda_min, run.lambda_max, "lanczos"
-    else:
-        dense = exact_reference(inst, dim_cap=dim_cap)
-        lo, hi = dense.lambda_min, dense.lambda_max
-        method = "dense" if run is None else "dense-fallback"
-    return ExtremeSpectrum(
-        lambda_min=lo,
-        lambda_max=hi,
-        spectral_norm=max(abs(lo), abs(hi)),
-        method=method,
-        steps=None if run is None else run.steps,
-        residual=None if run is None else run.residual,
-    )
+        if run.residual <= LANCZOS_TOL * scale:
+            return run
+    dense = exact_reference(inst, dim_cap=dim_cap)
+    how = ("dense",) if run is None else ("dense-fallback", run.steps, run.residual)
+    return ExtremeSpectrum(dense.lambda_min, dense.lambda_max, dense.spectral_norm, *how)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ dimension to a cap before it builds anything. The bound computations
 elsewhere never assemble the full tensor product and are dimension-free.
 ``spectral_norm`` takes stacks of Hermitian matrices only, and
 ``lanczos_extremes`` finds the two extreme eigenvalues of a Hermitian
-operator known only through its action on vectors.
+operator known only through its action on vectors, returned as an
+``ExtremeSpectrum``, the one result type for extreme spectra.
 """
 
 from __future__ import annotations
@@ -139,23 +140,28 @@ def spectral_norm(h: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LanczosResult:
-    """Extreme Ritz values of a Hermitian operator after a Lanczos run.
+class ExtremeSpectrum:
+    """Extreme eigenvalues and norm of a Hermitian operator, and how they
+    were computed.
 
-    ``residual`` is the larger of the explicit residuals ||B q - theta q||
-    of the two extreme Ritz pairs, recomputed after the last step.
-    ``converged`` is true when both residuals are within the tolerance, so
-    each Ritz value lies within ``LANCZOS_TOL * scale`` of an eigenvalue.
+    ``method`` is "lanczos" (lanczos_extremes, matrix-free), "dense"
+    (bounds.extreme_spectrum through bounds.exact_reference), or
+    "dense-fallback" (bounds.extreme_spectrum through exact_reference
+    after Lanczos missed its tolerance). ``steps`` and ``residual``
+    describe the Lanczos run and are None for "dense"; ``residual`` is
+    the larger of the explicit residuals ||B q - theta q|| of the two
+    extreme Ritz pairs, recomputed after the last step.
     """
 
     lambda_min: float
     lambda_max: float
-    steps: int
-    residual: float
-    converged: bool
+    spectral_norm: float
+    method: str
+    steps: int | None = None
+    residual: float | None = None
 
 
-def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
+def lanczos_extremes(matvec, n: int, scale: float) -> ExtremeSpectrum:
     """Smallest and largest eigenvalue of a Hermitian operator B on C^n that
     is given only as ``matvec(v) = B v``.
 
@@ -172,7 +178,9 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
     Ritz residual estimates are within tolerance. It also stops when the
     next basis vector has norm within tolerance: the Krylov space is then
     invariant and its Ritz values are eigenvalues of B. At most
-    min(n, LANCZOS_MAX_STEPS) steps are taken.
+    min(n, LANCZOS_MAX_STEPS) steps are taken. Each Ritz value lies within
+    the returned ``residual`` of an eigenvalue of B, so a run is to be
+    trusted when ``residual <= LANCZOS_TOL * scale``.
     """
     thresh = LANCZOS_TOL * scale
     max_steps = min(n, LANCZOS_MAX_STEPS)
@@ -182,7 +190,6 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
     basis = np.empty((max_steps, n), dtype=complex)  # rows are written as steps run
     alphas: list[float] = []
     betas: list[float] = []
-    estimates_met = False
     while True:
         k = len(alphas)
         basis[k] = q
@@ -194,15 +201,11 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
         beta = float(np.linalg.norm(w))
         steps = k + 1
         if beta <= thresh:
-            estimates_met = True
             theta, s = _tridiagonal_eigh(alphas, betas)
             break
         if steps % _LANCZOS_CHECK_EVERY == 0 or steps == max_steps:
             theta, s = _tridiagonal_eigh(alphas, betas)
-            if beta * max(abs(s[-1, 0]), abs(s[-1, -1])) <= thresh:
-                estimates_met = True
-                break
-            if steps == max_steps:
+            if beta * max(abs(s[-1, 0]), abs(s[-1, -1])) <= thresh or steps == max_steps:
                 break
         betas.append(beta)
         q = w / beta
@@ -211,13 +214,8 @@ def lanczos_extremes(matvec, n: int, scale: float) -> LanczosResult:
     for j in (0, -1):
         ritz = basis[:steps].T @ s[:, j]
         residual = max(residual, float(np.linalg.norm(matvec(ritz) - theta[j] * ritz)))
-    return LanczosResult(
-        lambda_min=float(theta[0]),
-        lambda_max=float(theta[-1]),
-        steps=steps,
-        residual=residual,
-        converged=estimates_met and residual <= thresh,
-    )
+    lo, hi = float(theta[0]), float(theta[-1])
+    return ExtremeSpectrum(lo, hi, max(abs(lo), abs(hi)), "lanczos", steps, residual)
 
 
 def _tridiagonal_eigh(alphas: list[float], betas: list[float]):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import svd_norm
 from tensorbound import (
+    ExtremeSpectrum,
     TensorSumInstance,
     build_report,
     exact_reference,
@@ -16,7 +17,7 @@ from tensorbound import (
     random_operator,
     save_instance,
 )
-from tensorbound import linalg
+from tensorbound import bounds, linalg
 from tensorbound.cli import main
 from tensorbound.demos import build_demo
 from tensorbound.linalg import LANCZOS_TOL
@@ -132,6 +133,25 @@ def test_unconverged_lanczos_falls_back_to_dense(monkeypatch):
     assert "dense eigvalsh after Lanczos missed its tolerance: 2 Lanczos steps" in note
 
 
+def test_acceptance_is_the_explicit_residual_at_tolerance(monkeypatch):
+    # a run is taken as it is up to residual == LANCZOS_TOL * scale
+    # inclusive, whatever stopped it; one float above, dense runs instead
+    inst = random_instance(12, 4, 16, 17)
+    tol = tolerance(inst)
+    dense = exact_reference(inst)
+    for residual, method in ((tol, "lanczos"), (np.nextafter(tol, np.inf), "dense-fallback")):
+        run = ExtremeSpectrum(-1.0, 1.0, 1.0, "lanczos", 7, residual)
+        monkeypatch.setattr(bounds, "lanczos_extremes", lambda matvec, n, scale: run)
+        spec = extreme_spectrum(inst)
+        assert spec.method == method
+        if method == "lanczos":
+            assert spec is run
+        else:
+            assert spec == ExtremeSpectrum(
+                dense.lambda_min, dense.lambda_max, dense.spectral_norm, method, 7, residual
+            )
+
+
 def test_small_products_stay_dense():
     inst = random_instance(9, 4, 16, 16)
     spec = extreme_spectrum(inst)
@@ -143,7 +163,7 @@ def test_small_products_stay_dense():
 def test_generic_solver_on_known_diagonal():
     d = np.linspace(-3.0, 2.0, 40)
     run = lanczos_extremes(lambda v: d * v, 40, 3.0)
-    assert run.converged
+    assert run.method == "lanczos"
     assert run.lambda_min == pytest.approx(-3.0, abs=3 * LANCZOS_TOL)
     assert run.lambda_max == pytest.approx(2.0, abs=3 * LANCZOS_TOL)
     assert run.residual <= 3 * LANCZOS_TOL
@@ -256,18 +276,13 @@ class TestTridiagonalSolves:
         for j in (0, -1):
             ritz = basis.T @ s[:, j]
             residual = max(residual, float(np.linalg.norm(d * ritz - theta[j] * ritz)))
-        assert run == linalg.LanczosResult(
-            lambda_min=float(theta[0]),
-            lambda_max=float(theta[-1]),
-            steps=run.steps,
-            residual=residual,
-            converged=residual <= LANCZOS_TOL * 3.0,
-        )
+        lo, hi = float(theta[0]), float(theta[-1])
+        assert run == ExtremeSpectrum(lo, hi, max(abs(lo), abs(hi)), "lanczos", run.steps, residual)
 
     def test_stop_at_a_check_decomposes_once_per_check(self, monkeypatch):
         d = np.concatenate([[-3.0], np.linspace(-1.0, 1.0, 398), [2.0]])
         run, solves, vectors = self.recorded_run(monkeypatch, d)
-        assert run.converged
+        assert run.residual <= LANCZOS_TOL * 3.0
         assert run.steps % linalg._LANCZOS_CHECK_EVERY == 0
         assert run.steps < linalg.LANCZOS_MAX_STEPS
         checks = run.steps // linalg._LANCZOS_CHECK_EVERY
@@ -279,7 +294,7 @@ class TestTridiagonalSolves:
     def test_invariant_subspace_stop_decomposes_once(self, monkeypatch):
         d = np.repeat([-1.0, 0.5, 2.0], 20)
         run, solves, vectors = self.recorded_run(monkeypatch, d)
-        assert run.converged
+        assert run.residual <= LANCZOS_TOL * 3.0
         assert run.steps == 3
         assert len(solves) == 1
         self.assert_result_of_final_matrix(run, solves, vectors, d)
