@@ -153,20 +153,28 @@ def instance_from_dict(doc) -> tuple[TensorSumInstance, InteractionGraph | None]
     return inst, graph
 
 
-def instance_to_dict(
-    inst: TensorSumInstance, graph: InteractionGraph | None = None
-) -> dict:
+def _layout(inst: TensorSumInstance, graph: InteractionGraph | None) -> dict:
+    """The file's top-level keys in file order, with x and y as the stacks."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "dim_h": inst.dim_h,
         "dim_k": inst.dim_k,
-        "x": [matrix_to_json(a) for a in inst.x],
-        "y": [matrix_to_json(b) for b in inst.y],
+        "x": inst.x,
+        "y": inst.y,
         "weights": inst.weights.tolist(),
     }
     if graph is not None:
         doc["graph"] = graph_to_json(graph)
     return doc
+
+
+def instance_to_dict(
+    inst: TensorSumInstance, graph: InteractionGraph | None = None
+) -> dict:
+    return {
+        k: [matrix_to_json(a) for a in v] if isinstance(v, np.ndarray) else v
+        for k, v in _layout(inst, graph).items()
+    }
 
 
 def _read_json(path):
@@ -176,7 +184,10 @@ def _read_json(path):
     set off collector passes that rescan them as they are built. Decoding
     makes no reference cycles, so reference counting still frees everything.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -195,10 +206,26 @@ def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
 def save_instance(
     path, inst: TensorSumInstance, graph: InteractionGraph | None = None
 ) -> None:
-    """One top-level key per line; json.dumps uses its C encoder only without indent."""
-    doc = instance_to_dict(inst, graph)
-    body = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
-    Path(path).write_text("{\n" + body + "\n}\n", encoding="utf-8")
+    """One compact top-level key per line, written one matrix at a time.
+
+    Each value is ``json.dumps`` of it (json uses its C encoder only without
+    indent), and a stack is written as the list of its matrices, so the file
+    holds the bytes of ``json.dumps`` of ``instance_to_dict``'s values. Only
+    one matrix's lists and text are held at once, not the whole document.
+    """
+    with Path(path).open("w", encoding="utf-8") as f:
+        sep = "{\n"
+        for key, value in _layout(inst, graph).items():
+            f.write(f"{sep}  {json.dumps(key)}: ")
+            if isinstance(value, np.ndarray):
+                f.write("[")
+                for k, a in enumerate(value):
+                    f.write((", " if k else "") + json.dumps(matrix_to_json(a)))
+                f.write("]")
+            else:
+                f.write(json.dumps(value))
+            sep = ",\n"
+        f.write("\n}\n")
 
 
 def load_graph(path, m: int) -> InteractionGraph:

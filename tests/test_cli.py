@@ -180,6 +180,22 @@ class TestBound:
         (line,) = proc.stderr.splitlines()
         assert line.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("where", ["instance", "graph"])
+    def test_file_not_utf8_names_the_file(self, demo_dir, tmp_path, where):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{}")
+        if where == "instance":
+            proc = run_cli("bound", str(path))
+        else:
+            proc = run_cli("bound", str(demo_dir / "demo-chsh.json"), "--graph", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line == (
+            f"error: {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        )
+
     def test_dim_cap_flag_disables_exact(self, demo_dir):
         proc = run_cli(
             "--dim-cap", "2",

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestWriterLayout:
         # no instance can hold the largest float (as a weight it overflows 4 m (sum |c|)^2),
         # so the writer is handed a document directly
         doc = {"schema_version": SCHEMA_VERSION, "weights": [value, -value]}
-        monkeypatch.setattr(instance_io, "instance_to_dict", lambda inst, graph: doc)
+        monkeypatch.setattr(instance_io, "_layout", lambda inst, graph: doc)
         path = tmp_path / "w.json"
         save_instance(path, None)
         written = json.loads(path.read_text())["weights"]
@@ -150,6 +151,68 @@ class TestWriterLayout:
         (a, ga), (b, gb) = load_instance(old), load_instance(new)
         assert same_bits(a, b) and same_bits(a, inst)
         assert ga.edges == gb.edges == graph.edges
+
+
+def old_composition(inst, graph=None) -> str:
+    """The file as the writer composed it whole before it streamed."""
+    doc = instance_to_dict(inst, graph)
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}\n"
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def stacks(seed: int, m: int, dim_h: int, dim_k: int):
+    rng = np.random.default_rng(seed)
+    x, y = ([hermitian_contraction(rng, d) for _ in range(m)] for d in (dim_h, dim_k))
+    return x, y
+
+
+def hermitian_contraction(rng, d: int) -> np.ndarray:
+    """A Hermitian contraction with full-precision entries."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = a + a.conj().T
+    return a / (1.25 * np.linalg.norm(a, 2))
+
+
+class TestStreamingWriter:
+    """save_instance writes one matrix at a time and the same bytes as
+    json.dumps of the whole document, one top-level key per line."""
+
+    @pytest.mark.parametrize(
+        "case", ["m1", "no-graph", "default-weights", "graph", "extreme"]
+    )
+    def test_bytes_match_the_whole_document(self, case, tmp_path):
+        if case == "extreme":
+            inst, graph = extreme_instance()
+        else:
+            x, y = stacks(24, 1 if case == "m1" else 4, 3, 5)
+            weights = None if case == "default-weights" else [0.5, -1 / 3, 2.0, 1e-17][: len(x)]
+            inst = TensorSumInstance(x, y, weights)
+            graph = InteractionGraph(4, [(1, 2), (4, 3)]) if case == "graph" else None
+        path = tmp_path / "i.json"
+        save_instance(path, inst, graph)
+        assert path.read_bytes() == old_composition(inst, graph).encode("utf-8")
+
+    def test_extra_memory_is_below_the_file_size(self, tmp_path):
+        x, y = stacks(25, 6, 64, 64)
+        inst = TensorSumInstance(x, y, np.linspace(-1, 1, 6))
+        graph = InteractionGraph(6, [(1, 2), (2, 3), (5, 6)])
+        path = tmp_path / "wide.json"
+        peak = traced_peak(lambda: save_instance(path, inst, graph))
+        size = path.stat().st_size
+        assert peak < size
+        # building the whole document and its text first needs several copies
+        old_peak = traced_peak(lambda: old_composition(inst, graph).encode("utf-8"))
+        assert old_peak > 4 * size
 
 
 class TestValidationErrors:
@@ -223,6 +286,13 @@ class TestValidationErrors:
         path.write_text("{nope")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_instance(path)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps(chsh_dict()).encode())
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value).startswith(f"{path}: not valid UTF-8: 'utf-8' codec can't decode")
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -426,3 +496,10 @@ class TestStandaloneGraph:
         with pytest.raises(ValueError) as err:
             load_graph(path, 3)
         assert str(err.value).startswith(f"{path}: not valid JSON: Expecting property name")
+
+    def test_load_graph_not_utf8(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_bytes(b'{"edges": [[0, 1]], "name": "\xe9"}')
+        with pytest.raises(ValueError) as err:
+            load_graph(path, 3)
+        assert str(err.value).startswith(f"{path}: not valid UTF-8: ")
