@@ -297,28 +297,26 @@ def exact_reference(
     ``lambda_max`` is the largest state correlator sup_rho tr(rho B_c),
     attained at the top eigenvector; ``spectral_norm`` is ||B_c||.
 
-    B_c is filled in square tiles of x entries, each of at most
-    max(BATCH_ENTRIES, dim_k^2) entries: sum_i kron(x_i[r, s], y_i) * c_i,
-    summed from zeros in term order, so every entry is bitwise that of the
-    full-size sum. Only tiles on and below the block diagonal are computed,
-    and only their entries on and below the diagonal of B_c are written
-    into a zero matrix: hermitian_eig reads B_c's lower triangle alone, so
-    its strict upper triangle stays zero. Peak memory is B_c plus LAPACK's
-    copy, 2 n^2 * 16 bytes.
+    B_c is filled in horizontal strips of whole x rows: the strip of x rows
+    r:e is sum_i kron(x_i[r:e, :e], y_i) * c_i, each product of at most
+    max(BATCH_ENTRIES, dim_k * n) entries, summed in place from zeros in
+    term order, so every entry is bitwise that of the full-size sum. A
+    strip reaches only up to its own diagonal block, whose strict upper
+    triangle is then zeroed: hermitian_eig reads B_c's lower triangle alone.
+    Peak memory is B_c plus LAPACK's copy, 2 n^2 * 16 bytes.
     """
     dh, dk = inst.dim_h, inst.dim_k
     check_dim_cap(dh, dk, dim_cap)
-    size = min(dh, max(1, int(BATCH_ENTRIES**0.5) // dk))  # one tile up to n = 256
-    tiles = [slice(i, i + size) for i in [*range(0, dh - size, size), dh - size]]
     n = dh * dk
+    rows = max(1, BATCH_ENTRIES // (dk * n))  # one strip up to n = 256
     b = np.zeros((n, n), dtype=complex)
-    for k, r in enumerate(tiles):
-        for s in tiles[: k + 1]:  # an overlapping last tile rewrites equal values
-            tile = np.zeros((size * dk, size * dk), dtype=complex)
-            for c, xi, yi in zip(inst.weights, inst.x, inst.y):
-                tile += kron(xi[r, s], yi) * c
-            tile = np.tril(tile, (r.start - s.start) * dk)  # B_c's lower triangle only
-            b.reshape(dh, dk, dh, dk)[r, :, s, :] = tile.reshape(size, dk, size, dk)
+    for r in range(0, dh, rows):
+        e = min(r + rows, dh)
+        strip = b[r * dk : e * dk, : e * dk]
+        for c, xi, yi in zip(inst.weights, inst.x, inst.y):
+            strip += kron(xi[r:e, :e], yi) * c
+        block = strip[:, r * dk :]  # the strip's diagonal block
+        block[np.triu_indices(len(block), 1)] = 0  # B_c's lower triangle only
     return hermitian_eig(b)
 
 

@@ -24,12 +24,15 @@ from .graphs import InteractionGraph
 SCHEMA_VERSION = "tensorbound/1"
 
 
-def _entry_from_json(cell, where: str) -> complex:
-    if (
-        not isinstance(cell, (list, tuple))
-        or len(cell) != 2
-        or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell)
-    ):
+def _only(values, kinds) -> bool:
+    """Whether every value is an instance of ``kinds`` and none is a bool
+    (the number rule: int or float, subclasses too, never bool)."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def _entry_from_json(cell, where: str) -> None:
+    """Raise the refusal of a cell that is not a finite [re, im] pair."""
+    if not isinstance(cell, (list, tuple)) or len(cell) != 2 or not _only(cell, (int, float)):
         raise ValueError(f"{where}: each entry must be a two-element [re, im] array, got {cell!r}")
     try:
         re, im = float(cell[0]), float(cell[1])
@@ -37,39 +40,35 @@ def _entry_from_json(cell, where: str) -> complex:
         re = im = np.inf
     if not (np.isfinite(re) and np.isfinite(im)):
         raise ValueError(f"{where}: entries must be finite, got {cell!r}")
-    return complex(re, im)
 
 
 def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
     """``rows``, ``dim`` lists of ``dim`` [re, im] pairs, as a complex matrix.
 
-    Pairs whose parts are all finite and of type int or float exactly (so
-    never bool) go through one numpy conversion. Anything else goes through
-    a per-entry scan, which names the first bad row or entry and also
-    accepts number subclasses.
+    The pairs go through one numpy conversion. When a row or pair is
+    malformed or not finite, a per-entry scan finds and raises the refusal
+    of the first bad row or entry.
     """
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(
             f"{where}: expected {dim} rows, got "
             f"{len(rows) if isinstance(rows, list) else type(rows).__name__}"
         )
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
+    if _only(rows, list) and set(map(len, rows)) == {dim}:
         cells = list(chain.from_iterable(rows))
         # types are checked before lengths are taken and parts iterated
-        pairs = set(map(type, cells)) <= {list, tuple} and set(map(len, cells)) == {2}
-        if pairs and set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        pairs = _only(cells, (list, tuple)) and set(map(len, cells)) == {2}
+        if pairs and _only(chain.from_iterable(cells), (int, float)):
             with suppress(OverflowError):  # an int past the float range
                 parts = np.fromiter(chain.from_iterable(cells), float, 2 * dim * dim)
                 if np.isfinite(parts).all():
                     # Consecutive (re, im) parts are one complex entry each.
                     return parts.view(complex).reshape(dim, dim)
-    out = np.zeros((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"{where}: row {r} must have {dim} entries")
         for c, cell in enumerate(row):
-            out[r, c] = _entry_from_json(cell, f"{where}[{r}][{c}]")
-    return out
+            _entry_from_json(cell, f"{where}[{r}][{c}]")
 
 
 def matrix_to_json(a: np.ndarray) -> list:
@@ -142,9 +141,7 @@ def instance_from_dict(doc) -> tuple[TensorSumInstance, InteractionGraph | None]
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != m:
             raise ValueError(f"weights must be an array of {m} numbers")
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in weights
-        ):
+        if not _only(weights, (int, float)):
             raise ValueError("weights must be numbers")
     inst = TensorSumInstance(x, y, weights)
     graph = None

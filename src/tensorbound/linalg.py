@@ -8,14 +8,14 @@ freely between workers.
 ``as_operator`` is the one check of an outside matrix, and
 ``bounds.TensorSumInstance`` is its one caller; every other function here
 takes matrices that came through it, or were built from such matrices,
-and checks nothing. The exact path (``kron`` tiles, then ``hermitian_eig``)
-is desk-scale by design: ``bounds.exact_reference`` holds the product
-dimension to a cap before it builds anything. The bound computations
-elsewhere never assemble the full tensor product and are dimension-free.
-``spectral_norm`` takes stacks of Hermitian matrices only, and
-``lanczos_extremes`` finds the two extreme eigenvalues of a Hermitian
-operator known only through its action on vectors, returned as an
-``ExtremeSpectrum``, the one result type for extreme spectra.
+and checks nothing. The exact path (``kron`` strips of at most
+max(BATCH_ENTRIES, dim_k * n) entries, then ``hermitian_eig``) is
+desk-scale: ``bounds.exact_reference`` caps the product dimension first.
+The bound computations never form the tensor product and are
+dimension-free. ``spectral_norm`` takes stacks of Hermitian matrices
+only, and ``lanczos_extremes`` finds the two extreme eigenvalues of a
+Hermitian operator known only through its action on vectors, returned as
+an ``ExtremeSpectrum``, the one result type for extreme spectra.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 # are unaffected.
 DEFAULT_DIM_CAP = 4096
 
-# Complex entries per temporary stack when work on an operator stack runs in
-# batches (1 MB): phi_table's pair products and validate's defects and norms.
+# Complex entries per temporary when work runs in batches (1 MB): phi_table's
+# pair products, validate's defects and norms, exact_reference's strips.
 BATCH_ENTRIES = 2 ** 16
 
 # Lanczos accepts an extreme Ritz pair (theta, q) when ||B q - theta q|| <=
@@ -74,7 +74,7 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor (Kronecker) product a (x) b of two complex matrices, unchecked.
 
-    The result has dimension dim(a)*dim(b) and block structure
+    The result has shape (rows(a) rows(b), cols(a) cols(b)) and block structure
     (a(x)b)[i*db+k, j*db+l] = a[i,j]*b[k,l], the products np.kron forms
     (without its generic-shape handling).
     """

@@ -254,6 +254,31 @@ class TestValidationMessages:
         )
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: bounds.as_weights([]), "weights must be a nonempty vector, got shape (0,)"),
+        (lambda: linalg.as_operator(np.zeros((0, 0))), "operator dimension must be at least 1"),
+        (lambda: InteractionGraph(0), "vertex count m must be positive"),
+        (
+            lambda: random_graph_min_degree_one(1, np.random.default_rng(0)),
+            "need at least 2 vertices for min degree 1",
+        ),
+        (lambda: build_demo("star", 1), "demo 'star' needs m >= 2, got 1"),
+        (
+            lambda: build_demo("nope"),
+            "unknown demo 'nope', expected one of ('chsh', 'heisenberg', 'clifford', "
+            "'two-spin', 'counterexample', 'star', 'chain')",
+        ),
+    ],
+    ids=["empty-weights", "empty-operator", "no-vertex", "one-vertex", "small-demo", "no-demo"],
+)
+def test_library_refusals_pinned(refused, message):
+    with pytest.raises(ValueError) as err:
+        refused()
+    assert str(err.value) == message
+
+
 class TestValidationPassCount:
     """Validation is one batched pass per side, whatever m is, while a side
     fits one linalg batch (2^16 complex entries): a loop over the operators
@@ -702,7 +727,7 @@ class TestExactReference:
         assert summary.eigenvalues.tobytes() == expected.tobytes()
 
     def test_assembled_matrix_is_the_lower_triangle(self, monkeypatch):
-        # tiles of 6 x entries with an overlapping last tile; terms at the
+        # strips of 5 x rows with a short last strip; terms at the
         # hermiticity tolerance, so the full sum's diagonal is complex
         seen = []
         monkeypatch.setattr(bounds, "hermitian_eig", lambda b: seen.append(b.copy()))
@@ -718,9 +743,9 @@ class TestExactReference:
         assert not np.triu(b, 1).any()
 
     def test_operators_are_checked_only_by_the_instance(self, monkeypatch):
-        # tiles of 6 x entries and of one x entry; n = 16 takes the dense path
+        # strips of 5 x rows and of one x row; n = 16 takes the dense path
         weights = np.array([0.6, -0.9])
-        tiles_of_6, tiles_of_1, small = (
+        strips_of_5, strips_of_1, small = (
             dense_instance(9, dh, dk, weights) for dh, dk in [(7, 40), (2, 257), (4, 4)]
         )
 
@@ -729,12 +754,12 @@ class TestExactReference:
 
         monkeypatch.setattr(linalg, "as_operator", refuse)
         monkeypatch.setattr(bounds, "as_operator", refuse)
-        exact_reference(tiles_of_6)
-        exact_reference(tiles_of_1)
+        exact_reference(strips_of_5)
+        exact_reference(strips_of_1)
         assert extreme_spectrum(small).method == "dense"
-        assert extreme_spectrum(tiles_of_1).method == "lanczos"
+        assert extreme_spectrum(strips_of_1).method == "lanczos"
 
-    # one entry; tiles of 6 and of 2 x entries, each with an overlapping last tile
+    # one entry; strips of 5 and of 2 x rows, each with a short last strip
     @pytest.mark.parametrize("dim_h, dim_k", [(1, 1), (7, 40), (3, 100)])
     def test_eigenvalues_bitwise_equal_with_skew_terms(self, dim_h, dim_k):
         # operators at the hermiticity tolerance: eigvalsh reads only the
@@ -773,9 +798,9 @@ class TestExactReference:
         with pytest.raises(ValueError, match=r"2\*2 = 4 exceeds the cap 2"):
             exact_reference(inst, dim_cap=2)
 
-    # (dim_h, dim_k): tiles of 2 x entries with an overlapping last tile;
-    # tiles of 6 with an overlapping last tile; tiles of one x entry
-    # (dim_k above 256); one tile (n <= 256).
+    # (dim_h, dim_k): strips of one x row (dim_k * n above 2^16); strips of
+    # 3 x rows with a short last strip; strips of one x row (dim_k above
+    # 256); one strip (n <= 256).
     @pytest.mark.parametrize("dim_h, dim_k", [(7, 100), (13, 40), (2, 257), (4, 8)])
     def test_eigenvalues_bitwise_equal_full_kron_sum(self, dim_h, dim_k):
         weights = np.array([0.7, -1.3, 0.0, -0.25])
@@ -783,7 +808,22 @@ class TestExactReference:
         expected = np.linalg.eigvalsh(dense_kron_sum(inst.x, inst.y, weights))
         assert exact_reference(inst).eigenvalues.tobytes() == expected.tobytes()
 
+    # the one strip every sweep trial takes: one kron per term, of whole x_i
+    @pytest.mark.parametrize("dim_h, dim_k", [(1, 1), (4, 8), (16, 16), (2, 128)])
+    def test_one_strip_up_to_n_256(self, monkeypatch, dim_h, dim_k):
+        shapes = []
+
+        def counted(a, b):
+            shapes.append(a.shape)
+            return linalg.kron(a, b)
+
+        monkeypatch.setattr(bounds, "kron", counted)
+        weights = np.array([0.7, -1.3, 0.25])
+        exact_reference(dense_instance(8, dim_h, dim_k, weights))
+        assert shapes == [(dim_h, dim_h)] * len(weights)
+
     def test_peak_memory_is_b_plus_small_tiles(self):
+        # B plus strips of at most 2^16 entries (1 MB)
         # LAPACK's copy of B is allocated inside numpy's eigvalsh, outside
         # what tracemalloc sees; every other allocation is traced.
         inst = dense_instance(6, 32, 32, np.array([1.0, -0.5, 0.25]))

@@ -20,7 +20,6 @@ from tensorbound import instance_io
 from tensorbound.graphs import InteractionGraph
 from tensorbound.instance_io import (
     SCHEMA_VERSION,
-    _entry_from_json,
     load_graph,
     matrix_from_json,
     matrix_to_json,
@@ -281,6 +280,25 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="contraction"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (None, [], "instance file must hold a JSON object"),
+            ("dim_h", 0, "dim_h must be a positive integer, got 0"),
+            ("dim_h", True, "dim_h must be a positive integer, got True"),
+            ("x", [], "x must be a nonempty array of matrices"),
+            ("y", [], "y must be an array of 4 matrices to match x"),
+            ("weights", [1.0, True, 1.0, 1.0], "weights must be numbers"),
+            ("graph", [[0, 1]], "graph must be an object with an 'edges' array"),
+            ("graph", {"edges": {"0": 1}}, "graph.edges must be an array of [i, j] pairs"),
+        ],
+    )
+    def test_document_refusals_pinned(self, key, value, message):
+        doc = value if key is None else {**chsh_dict(), key: value}
+        with pytest.raises(ValueError) as err:
+            instance_from_dict(doc)
+        assert str(err.value) == message
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{nope")
@@ -380,12 +398,11 @@ class TestMatrixParsing:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_fast_path_matches_entry_scan_bitwise(self, rows):
+    def test_conversion_matches_python_floats_bitwise(self, rows):
         dim = len(rows)
-        expected = np.zeros((dim, dim), dtype=complex)
-        for r, row in enumerate(rows):
-            for c, cell in enumerate(row):
-                expected[r, c] = _entry_from_json(cell, "x[0]")
+        expected = np.array(
+            [[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex
+        )
         assert matrix_from_json(rows, dim, "x[0]").tobytes() == expected.tobytes()
 
     def test_number_subclasses_still_accepted(self):
