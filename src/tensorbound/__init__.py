@@ -48,7 +48,6 @@ from .instance_io import (
 from .linalg import (
     DEFAULT_DIM_CAP,
     ExtremeSpectrum,
-    SpectralSummary,
     as_operator,
     lanczos_extremes,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "PhiTable",
     "PhiThresholdBound",
     "SCHEMA_VERSION",
-    "SpectralSummary",
     "SweepConfig",
     "SweepResult",
     "TensorSumInstance",

@@ -19,7 +19,7 @@ and error messages are 1-based to match the graph module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .linalg import (
     DEFAULT_DIM_CAP,
     LANCZOS_TOL,
     ExtremeSpectrum,
-    SpectralSummary,
     as_operator,
     batches,
     check_dim_cap,
@@ -291,11 +290,12 @@ def require_domination(inst: TensorSumInstance, g: InteractionGraph) -> Dominati
 
 def exact_reference(
     inst: TensorSumInstance, *, dim_cap: int = DEFAULT_DIM_CAP
-) -> SpectralSummary:
-    """Assemble B_c = sum c_i x_i (x) y_i and diagonalize it.
+) -> ExtremeSpectrum:
+    """Assemble B_c = sum c_i x_i (x) y_i and diagonalize it ("dense").
 
     ``lambda_max`` is the largest state correlator sup_rho tr(rho B_c),
-    attained at the top eigenvector; ``spectral_norm`` is ||B_c||.
+    attained at the top eigenvector; ``spectral_norm`` is ||B_c||, and
+    ``eigenvalues`` holds the whole spectrum, ascending.
 
     B_c is filled in horizontal strips of whole x rows: the strip of x rows
     r:e is sum_i kron(x_i[r:e, :e], y_i) * c_i, each product of at most
@@ -342,7 +342,8 @@ def _tensor_sum_matvec(inst: TensorSumInstance):
 def extreme_spectrum(
     inst: TensorSumInstance, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> ExtremeSpectrum:
-    """lambda_min, lambda_max and ||B_c|| without the rest of the spectrum.
+    """lambda_min, lambda_max and ||B_c||; the whole spectrum only when it
+    is computed densely.
 
     Up to LANCZOS_MIN_DIM this is exact_reference. Larger product spaces,
     up to ``dim_cap``, run matrix-free Lanczos with tolerance
@@ -350,8 +351,8 @@ def extreme_spectrum(
     operator is a contraction. The Lanczos result is returned as it is
     when the explicit residual of its run is within that tolerance;
     otherwise exact_reference runs instead ("dense-fallback", keeping the
-    run's steps and residual). Raises ValueError above ``dim_cap``, like
-    exact_reference.
+    run's steps and residual beside the dense eigenvalues). Raises
+    ValueError above ``dim_cap``, like exact_reference.
     """
     check_dim_cap(inst.dim_h, inst.dim_k, dim_cap)
     n = inst.dim_h * inst.dim_k
@@ -362,8 +363,9 @@ def extreme_spectrum(
         if run.residual <= LANCZOS_TOL * scale:
             return run
     dense = exact_reference(inst, dim_cap=dim_cap)
-    how = ("dense",) if run is None else ("dense-fallback", run.steps, run.residual)
-    return ExtremeSpectrum(dense.lambda_min, dense.lambda_max, dense.spectral_norm, *how)
+    if run is None:
+        return dense
+    return replace(dense, method="dense-fallback", steps=run.steps, residual=run.residual)
 
 
 # ---------------------------------------------------------------------------

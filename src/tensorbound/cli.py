@@ -36,7 +36,7 @@ from .certificates import CertificateReport, build_certificate_report
 from .demos import DEMO_NAMES, PARAMETRIC, build_demo, default_filename
 from .graphs import InteractionGraph
 from .instance_io import load_graph, load_instance, save_instance
-from .linalg import DEFAULT_DIM_CAP, SpectralSummary
+from .linalg import DEFAULT_DIM_CAP, ExtremeSpectrum
 from .sweep import GRAPH_MODES, SweepConfig, SweepResult, TrialResult, run_sweep
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _kv_lines(items) -> str:
 
 
 # ---------------------------------------------------------------------------
-# renderers; JSON is dataclasses.asdict, so report fields are declared in JSON key order
+# renderers; JSON is dataclasses.asdict (not exact's), so fields are declared in JSON key order
 
 
 def bound_report_to_dict(rep: BoundReport) -> dict:
@@ -124,7 +124,12 @@ def bound_report_csv(rep: BoundReport) -> str:
     return _csv_table(BOUND_CSV_FIELDS, [[getattr(rep, k) for k in BOUND_CSV_FIELDS]])
 
 
-def spectral_text(s: SpectralSummary) -> str:
+def spectral_to_dict(s: ExtremeSpectrum) -> dict:
+    """exact's JSON: four of the spectrum's fields, in the order its reports have always had."""
+    return {k: getattr(s, k) for k in ("eigenvalues", "spectral_norm", "lambda_max", "lambda_min")}
+
+
+def spectral_text(s: ExtremeSpectrum) -> str:
     return _kv_lines(
         [
             ("eigenvalues", ", ".join(_fmt(float(v)) for v in s.eigenvalues)),
@@ -369,8 +374,8 @@ def cmd_bound(args, parser) -> int:
 
 def cmd_exact(args, parser) -> int:
     inst, _ = load_instance(args.instance)
-    summary = exact_reference(inst, dim_cap=args.dim_cap)
-    _print_report(args.output, summary, spectral_text, asdict)
+    spectrum = exact_reference(inst, dim_cap=args.dim_cap)
+    _print_report(args.output, spectrum, spectral_text, spectral_to_dict)
     return EXIT_OK
 
 

@@ -14,13 +14,14 @@ desk-scale: ``bounds.exact_reference`` caps the product dimension first.
 The bound computations never form the tensor product and are
 dimension-free. ``spectral_norm`` takes stacks of Hermitian matrices
 only, and ``lanczos_extremes`` finds the two extreme eigenvalues of a
-Hermitian operator known only through its action on vectors, returned as
-an ``ExtremeSpectrum``, the one result type for extreme spectra.
+Hermitian operator known only through its action on vectors. Both
+``hermitian_eig`` and ``lanczos_extremes`` return an ``ExtremeSpectrum``,
+the one spectrum type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,23 +92,35 @@ def check_dim_cap(dim_a: int, dim_b: int, dim_cap: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSummary:
-    """Spectrum of a Hermitian operator.
+@dataclass(frozen=True)
+class ExtremeSpectrum:
+    """The spectrum of a Hermitian operator: its extreme eigenvalues and
+    norm, and how they were computed.
 
-    ``eigenvalues`` is ascending; ``spectral_norm`` equals
-    max(|lambda_min|, |lambda_max|).
+    ``spectral_norm`` is max(|lambda_min|, |lambda_max|). ``method`` is
+    "lanczos" (lanczos_extremes, matrix-free), "dense" (hermitian_eig, and
+    through it bounds.exact_reference and bounds.extreme_spectrum), or
+    "dense-fallback" (bounds.extreme_spectrum through exact_reference
+    after Lanczos missed its tolerance). ``steps`` and ``residual``
+    describe the Lanczos run and are None for "dense"; ``residual`` is
+    the larger of the explicit residuals ||B q - theta q|| of the two
+    extreme Ritz pairs, recomputed after the last step. ``eigenvalues``
+    is the whole spectrum, ascending, set by the dense paths and None for
+    "lanczos"; equality, hashing and repr ignore it.
     """
 
-    eigenvalues: np.ndarray
-    spectral_norm: float
-    lambda_max: float
     lambda_min: float
+    lambda_max: float
+    spectral_norm: float
+    method: str
+    steps: int | None = None
+    residual: float | None = None
+    eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def hermitian_eig(a: np.ndarray) -> SpectralSummary:
+def hermitian_eig(a: np.ndarray) -> ExtremeSpectrum:
     """All eigenvalues, ascending, of the Hermitian matrix whose lower
-    triangle is ``a``.
+    triangle is ``a``, as a "dense" ``ExtremeSpectrum``.
 
     Calls LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``),
     which reads only the lower triangle and the real part of the diagonal;
@@ -115,14 +128,8 @@ def hermitian_eig(a: np.ndarray) -> SpectralSummary:
     read, so nothing is checked there. No eigenvectors are computed.
     """
     w = np.linalg.eigvalsh(a)
-    lo = float(w[0])
-    hi = float(w[-1])
-    return SpectralSummary(
-        eigenvalues=w,
-        spectral_norm=max(abs(lo), abs(hi)),
-        lambda_max=hi,
-        lambda_min=lo,
-    )
+    lo, hi = float(w[0]), float(w[-1])
+    return ExtremeSpectrum(lo, hi, max(abs(lo), abs(hi)), "dense", eigenvalues=w)
 
 
 def spectral_norm(h: np.ndarray) -> np.ndarray:
@@ -137,28 +144,6 @@ def spectral_norm(h: np.ndarray) -> np.ndarray:
     """
     w = np.linalg.eigvalsh(h)
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-
-
-@dataclass(frozen=True)
-class ExtremeSpectrum:
-    """Extreme eigenvalues and norm of a Hermitian operator, and how they
-    were computed.
-
-    ``method`` is "lanczos" (lanczos_extremes, matrix-free), "dense"
-    (bounds.extreme_spectrum through bounds.exact_reference), or
-    "dense-fallback" (bounds.extreme_spectrum through exact_reference
-    after Lanczos missed its tolerance). ``steps`` and ``residual``
-    describe the Lanczos run and are None for "dense"; ``residual`` is
-    the larger of the explicit residuals ||B q - theta q|| of the two
-    extreme Ritz pairs, recomputed after the last step.
-    """
-
-    lambda_min: float
-    lambda_max: float
-    spectral_norm: float
-    method: str
-    steps: int | None = None
-    residual: float | None = None
 
 
 def lanczos_extremes(matvec, n: int, scale: float) -> ExtremeSpectrum:

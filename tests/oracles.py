@@ -167,3 +167,28 @@ def loop_domination(values: dict, weights, m: int, edges_1based, weighted: bool,
             scale = max([w(i, j)] + [w(i, k) for k in nbrs[i]] + [w(j, k) for k in nbrs[j]])
             out[(i, j)] = (lhs, rhs, lhs > rhs + tol * scale)
     return out
+
+
+def chained_bell(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The chained Bell operator of Braunstein & Caves (1990) with ``n``
+    settings per side, as the 2n terms A_k (x) B_k and A_{k+1} (x) B_k,
+    k = 0..n-1, all of weight 1.
+
+    A_k is the Z-X plane observable at angle k pi/n, with A_n = -A_0, and
+    B_k the one at angle (2k+1) pi/(2n); every term's pair sits pi/(2n)
+    apart. The operator's norm is 2n cos(pi/(2n)), so n = 2 is CHSH at
+    Tsirelson's 2 sqrt(2). Returns the x and y operators, term by term.
+    """
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def plane(angle):
+        return np.cos(angle) * z + np.sin(angle) * x
+
+    a = [plane(k * np.pi / n) for k in range(n)] + [-plane(0.0)]
+    b = [plane((2 * k + 1) * np.pi / (2 * n)) for k in range(n)]
+    x_ops, y_ops = [], []
+    for k in range(n):
+        x_ops += [a[k], a[k + 1]]
+        y_ops += [b[k], b[k]]
+    return x_ops, y_ops

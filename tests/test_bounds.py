@@ -53,7 +53,7 @@ def test_exports_resolve_and_are_sorted():
 
     assert [n for n in tensorbound.__all__ if not hasattr(tensorbound, n)] == []
     assert tensorbound.__all__ == sorted(set(tensorbound.__all__))
-    assert len(tensorbound.__all__) == 38
+    assert len(tensorbound.__all__) == 37
     # library-only names removed from the public API; tests compute the identities in oracles.py.
     # Every refusal is a ValueError, and validate and spectral_norm take checked stacks only.
     removed = (

@@ -150,6 +150,8 @@ def test_acceptance_is_the_explicit_residual_at_tolerance(monkeypatch):
             assert spec == ExtremeSpectrum(
                 dense.lambda_min, dense.lambda_max, dense.spectral_norm, method, 7, residual
             )
+            # the fallback keeps the dense spectrum
+            assert spec.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
 
 
 def test_small_products_stay_dense():
@@ -158,6 +160,15 @@ def test_small_products_stay_dense():
     dense = exact_reference(inst)
     assert (spec.method, spec.steps, spec.residual) == ("dense", None, None)
     assert (spec.lambda_min, spec.lambda_max) == (dense.lambda_min, dense.lambda_max)
+    assert spec.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+
+
+def test_eigenvalues_are_ignored_by_equality_hash_and_repr():
+    bare = ExtremeSpectrum(-2.0, 2.0, 2.0, "dense")
+    full = ExtremeSpectrum(-2.0, 2.0, 2.0, "dense", eigenvalues=np.array([-2.0, 0.0, 2.0]))
+    assert bare == full
+    assert hash(bare) == hash(full)
+    assert repr(bare) == repr(full)
 
 
 def test_generic_solver_on_known_diagonal():

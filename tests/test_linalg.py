@@ -224,6 +224,10 @@ class TestHermitianEig:
             abs(summary.lambda_min), abs(summary.lambda_max)
         )
         assert len(summary.eigenvalues) == a.shape[0]
+        assert (summary.lambda_min, summary.lambda_max) == (
+            summary.eigenvalues[0], summary.eigenvalues[-1]
+        )
+        assert (summary.method, summary.steps, summary.residual) == ("dense", None, None)
 
 
 class TestBatches:

@@ -12,7 +12,12 @@ writes; for the goldens whose demo embeds a graph, also of
 ``certify --beta 2.5`` (text and JSON) on the ``heisenberg`` demo with
 ``--graph`` naming a complete-graph file: a graph with no non-edge.
 Beside them, ``sweep.<txt|csv>`` and
-``sweep-json.txt`` pin ``sweep --trials 20 --seed 42``, and
+``sweep-json.txt`` pin ``sweep --trials 20 --seed 42``. The three gate
+sweeps are pinned the same way: ``gate-sweep`` pins ``sweep --trials 500
+--seed 42``, ``gate-sweep-complete`` the same with ``--graph-mode
+complete``, and ``gate-sweep-m9-dim5`` the same with ``--max-m 9
+--max-dim 5``, each as ``<name>.txt``, ``<name>-json.txt`` and
+``<name>-csv.csv``. Finally,
 ``chsh.instance-file.txt`` pins the instance file ``demo chsh --dir``
 writes, so a change of its layout fails a test. No pin is
 ``*.json`` (JSON renderings are stored as ``.txt``) so that nothing
@@ -35,10 +40,22 @@ RENDER_DIR = GOLDEN_DIR / "render"
 STEMS = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
 
 SWEEP_ARGS = ("--trials", "20", "--seed", "42")
+GATE_SWEEP_ARGS = ("--trials", "500", "--seed", "42")
 # ``render`` writes the complete graph on the demo's m to COMPLETE_FILE
 COMPLETE_FILE = "complete-graph.json"
 COMPLETE_ARGS = ("--graph", COMPLETE_FILE)
 COMPLETE_STEM = "heisenberg"
+
+
+def _sweep_cases(name: str, args: tuple) -> dict:
+    """A sweep's text, JSON and CSV cases, named ``name``, ``name-json``
+    and ``name-csv``."""
+    return {
+        name: ("sweep", args, "txt"),
+        f"{name}-json": ("sweep", (*args, "--output", "json"), "txt"),
+        f"{name}-csv": ("sweep", (*args, "--output", "csv"), "csv"),
+    }
+
 
 # case name -> (command, extra arguments, file suffix)
 CASES = {
@@ -78,9 +95,10 @@ CASES = {
         (*COMPLETE_ARGS, "--beta", "2.5", "--output", "json"),
         "txt",
     ),
-    "sweep": ("sweep", SWEEP_ARGS, "txt"),
-    "sweep-json": ("sweep", (*SWEEP_ARGS, "--output", "json"), "txt"),
-    "sweep-csv": ("sweep", (*SWEEP_ARGS, "--output", "csv"), "csv"),
+    **_sweep_cases("sweep", SWEEP_ARGS),
+    **_sweep_cases("gate-sweep", GATE_SWEEP_ARGS),
+    **_sweep_cases("gate-sweep-complete", (*GATE_SWEEP_ARGS, "--graph-mode", "complete")),
+    **_sweep_cases("gate-sweep-m9-dim5", (*GATE_SWEEP_ARGS, "--max-m", "9", "--max-dim", "5")),
 }
 
 
