@@ -6,6 +6,7 @@ unlike reports, which are 1-based. Floats are written with Python's
 shortest round-tripping representation, so serialize(parse(f)) preserves
 every value bit-exactly. Files hold one unindented top-level key per line,
 so json writes them with its C encoder; indented files load unchanged.
+Writer and reader both stream: neither holds a whole document of lists.
 """
 
 from __future__ import annotations
@@ -121,6 +122,20 @@ def graph_to_json(g: InteractionGraph) -> dict:
 
 
 def instance_from_dict(doc) -> tuple[TensorSumInstance, InteractionGraph | None]:
+    return _instance_from_doc(doc, matrix_from_json)
+
+
+def _converted(rows, dim: int, where: str) -> np.ndarray:
+    """matrix_from_json, passing through a matrix the reader converted."""
+    if not isinstance(rows, np.ndarray):
+        return matrix_from_json(rows, dim, where)
+    if len(rows) != dim:  # a later dim_h or dim_k overrode the one it used
+        raise ValueError(f"{where}: expected {dim} rows, got {len(rows)}")
+    return rows
+
+
+def _instance_from_doc(doc, matrix) -> tuple[TensorSumInstance, InteractionGraph | None]:
+    """instance_from_dict, with ``matrix`` converting each x and y entry."""
     if not isinstance(doc, dict):
         raise ValueError("instance file must hold a JSON object")
     version = doc.get("schema_version")
@@ -135,8 +150,8 @@ def instance_from_dict(doc) -> tuple[TensorSumInstance, InteractionGraph | None]
     if not isinstance(y_raw, list) or len(y_raw) != len(x_raw):
         raise ValueError(f"y must be an array of {len(x_raw)} matrices to match x")
     m = len(x_raw)
-    x = [matrix_from_json(rows, dim_h, f"x[{k}]") for k, rows in enumerate(x_raw)]
-    y = [matrix_from_json(rows, dim_k, f"y[{k}]") for k, rows in enumerate(y_raw)]
+    x = [matrix(rows, dim_h, f"x[{k}]") for k, rows in enumerate(x_raw)]
+    y = [matrix(rows, dim_k, f"y[{k}]") for k, rows in enumerate(y_raw)]
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != m:
@@ -174,13 +189,59 @@ def instance_to_dict(
     }
 
 
-def _read_json(path):
-    """The decoded file, with the cyclic collector paused while it decodes.
-
-    An instance file decodes to some 10^5 small [re, im] lists, which would
-    set off collector passes that rescan them as they are built. Decoding
-    makes no reference cycles, so reference counting still frees everything.
+def _walk(text: str):
+    """The JSON document in ``text``, its keys and values each decoded by
+    json's C scanner, and each x or y matrix converted before the next is
+    decoded once a valid dim_h or dim_k has been read; one that fails stays
+    as its lists, for instance_from_dict's checks. Text that is not a JSON
+    object goes to json.loads, which only raises or returns the non-object.
     """
+    decode, space = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE
+    doc = {}
+
+    def skip(i: int, char: str = "") -> int:  # past ``char`` at i and the whitespace after
+        if not text.startswith(char, i):
+            raise ValueError(f"expected {char!r} at {i}")
+        return space.match(text, i + len(char)).end()
+
+    def members(i: int, close: str, member) -> int:  # past the container opening at i
+        i = skip(i + 1)
+        if text.startswith(close, i):
+            return i + 1
+        while not text.startswith(close, i := skip(member(i))):
+            i = skip(i, ",")
+        return i + 1
+
+    def member(i: int) -> int:
+        skip(i, '"')  # a key is a string; raw_decode would take any value
+        key, i = decode(text, i)
+        i = skip(skip(i), ":")
+        dim = doc.get({"x": "dim_h", "y": "dim_k"}.get(key))
+        if not (text.startswith("[", i) and type(dim) is int and dim > 0):
+            doc[key], i = decode(text, i)
+            return i
+        doc[key] = stack = []
+
+        def matrix(j: int) -> int:
+            rows, j = decode(text, j)
+            with suppress(ValueError):
+                rows = matrix_from_json(rows, dim, key)
+            stack.append(rows)
+            return j
+
+        return members(i, "]", matrix)
+
+    with suppress(ValueError):
+        i = skip(0)
+        if text.startswith("{", i) and skip(members(i, "}", member)) == len(text):
+            return doc
+    return json.loads(text)
+
+
+def _read_json(path, decode=json.loads):
+    """``decode`` of the file's text, with the cyclic collector paused: the
+    many small [re, im] lists that decoding builds would set off passes that
+    rescan them, and it makes no cycles, so reference counting frees all."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -188,7 +249,7 @@ def _read_json(path):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
+        return decode(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     finally:
@@ -197,7 +258,10 @@ def _read_json(path):
 
 
 def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
-    return instance_from_dict(_read_json(path))
+    """The instance in the file, decoded and converted one matrix at a time
+    (_walk): the peak holds the file's bytes and text, not a whole document
+    of lists besides. Refusals are those of instance_from_dict(json.loads)."""
+    return _instance_from_doc(_read_json(path, _walk), _converted)
 
 
 def save_instance(

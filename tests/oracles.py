@@ -192,3 +192,40 @@ def chained_bell(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         x_ops += [a[k], a[k + 1]]
         y_ops += [b[k], b[k]]
     return x_ops, y_ops
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random n x n unitary: Q of the QR of a complex Gaussian matrix,
+    with the phases of R's diagonal moved into it (Mezzadri 2007)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def lift(x_ops, y_ops, d, e, seed: int) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Lift a tensor sum to operators of dimensions len(x_i) len(d) and
+    len(y_i) len(e), with a spectrum known in closed form.
+
+    With D = diag(d) and E = diag(e), real entries in [-1, 1] and the
+    largest magnitude 1 in each, and Haar unitaries U, V drawn from
+    ``seed``, the lifted operators are x_i' = U (x_i (x) D) U* and
+    y_i' = V (y_i (x) E) V*, each hermitized as (a + a*)/2. Then
+    sum c_i x_i' (x) y_i' is unitarily similar to the direct sum over a, b
+    of d_a e_b B_c, so its spectrum is {d_a e_b lambda} and its norm that
+    of B_c. Every phi_ij is unchanged too: [x (x) D, x' (x) D] is
+    [x, x'] (x) D^2, likewise for anticommutators, and ||D^2|| = 1.
+
+    Returns x', y' and that spectrum, ascending, for unit weights, with the
+    eigenvalues lambda of B = sum x_i (x) y_i from power_iteration_spectrum.
+    """
+    rng = np.random.default_rng(seed)
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    u, v = haar_unitary(len(x_ops[0]) * len(d), rng), haar_unitary(len(y_ops[0]) * len(e), rng)
+
+    def conjugate(w, a, diag):
+        b = w @ np.kron(a, np.diag(diag)) @ w.conj().T
+        return (b + b.conj().T) / 2
+
+    base = power_iteration_spectrum(dense_kron_sum(x_ops, y_ops, np.ones(len(x_ops))), 500)
+    spectrum = np.sort(np.multiply.outer(np.outer(d, e), base).ravel())
+    return [conjugate(u, a, d) for a in x_ops], [conjugate(v, b, e) for b in y_ops], spectrum

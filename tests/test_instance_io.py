@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tensorbound import (
     save_instance,
 )
 from tensorbound import instance_io
+from tensorbound.demos import build_demo
 from tensorbound.graphs import InteractionGraph
 from tensorbound.instance_io import (
     SCHEMA_VERSION,
@@ -212,6 +214,110 @@ class TestStreamingWriter:
         # building the whole document and its text first needs several copies
         old_peak = traced_peak(lambda: old_composition(inst, graph).encode("utf-8"))
         assert old_peak > 4 * size
+
+
+def whole_document_load(path):
+    """The reader as it was: json.loads of the whole text, then instance_from_dict."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    return instance_from_dict(doc)
+
+
+def outcome(read, path):
+    """The bits of what ``read(path)`` returns, or the type and message it raises."""
+    try:
+        inst, graph = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    fields = (np.asarray(getattr(inst, f)).tobytes() for f in ("x", "y", "weights"))
+    return tuple(fields), graph and graph.edges
+
+
+def chsh_text(bad_x: int | None = None, **changes) -> str:
+    """chsh_dict as compact JSON text, with ``changes`` to its keys and a
+    one-part entry at x[bad_x][0][1] if ``bad_x`` is given."""
+    doc = {**chsh_dict(), **changes}
+    if bad_x is not None:
+        doc["x"][bad_x][0][1] = [1.0]
+    return json.dumps(doc)
+
+
+def odd_whitespace(text: str) -> str:
+    """``text`` with JSON's four whitespace characters around every token."""
+    for token in ",:[]{}":
+        text = text.replace(token, f"\r{token}\n\t ")
+    return f" \n{text}\t"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+CHSH = chsh_text()
+STREAM_CASES = {
+    "extreme": json.dumps(instance_to_dict(*extreme_instance())),
+    "indent-2": json.dumps(instance_to_dict(*extreme_instance()), indent=2),
+    "stacks-before-dims": json.dumps(dict(reversed(chsh_dict().items()))),
+    "duplicate-keys": f'{{"x": 0, "dim_h": 3, "weights": [2.0], {CHSH[1:-1]}, "weights": null}}',
+    "second-dim_h-after-x": CHSH[:-1] + ', "dim_h": 3}',
+    "odd-whitespace": odd_whitespace(CHSH),
+    "syntax-error-after-bad-matrix": chsh_text(bad_x=0)[:-1] + ', "z": [1,,2]}',
+    "schema-with-bad-matrix": chsh_text(bad_x=0, schema_version="tensorbound/99"),
+    "bad-entry-in-x1": chsh_text(bad_x=1),
+    "trailing-data": CHSH + " {}",
+    "top-level-array": f"[{CHSH}]",
+    "nan-entry": CHSH.replace("1.0", "NaN", 1),
+    "past-the-digit-limit": CHSH.replace('"weights": [', f'"weights": [{"7" * 5001}, ', 1),
+}
+
+
+class TestStreamingReader:
+    """load_instance decodes and converts one matrix at a time, and returns
+    or refuses exactly what instance_from_dict(json.loads(text)) does."""
+
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in GOLDEN.glob("*.json")))
+    def test_golden_demos_load_bitwise(self, stem, tmp_path):
+        golden = json.loads((GOLDEN / f"{stem}.json").read_text())
+        path = tmp_path / "demo.json"
+        save_instance(path, *build_demo(golden["demo"], golden["m_arg"]))
+        streamed = outcome(load_instance, path)
+        assert streamed == outcome(whole_document_load, path) and streamed[0] is not ValueError
+
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_same_instance_or_refusal(self, case, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(STREAM_CASES[case])
+        assert outcome(load_instance, path) == outcome(whole_document_load, path)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("second-dim_h-after-x", "x[0]: expected 3 rows, got 2"),
+            ("syntax-error-after-bad-matrix", "not valid JSON: Expecting value"),
+            ("schema-with-bad-matrix", "unsupported schema_version 'tensorbound/99'"),
+            ("bad-entry-in-x1", "x[1][0][1]: each entry must be a two-element [re, im] array"),
+            ("trailing-data", "not valid JSON: Extra data"),
+            ("top-level-array", "instance file must hold a JSON object"),
+            ("nan-entry", "x[0][0][0]: entries must be finite"),
+            ("past-the-digit-limit", "not valid JSON: Exceeds the limit (4300 digits)"),
+        ],
+    )
+    def test_refusals_pinned(self, case, message, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(STREAM_CASES[case])
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert type(err.value) is ValueError and message in str(err.value)
+
+    def test_extra_memory_is_about_the_text(self, tmp_path):
+        x, y = stacks(26, 6, 64, 64)
+        path = tmp_path / "wide.json"
+        save_instance(path, TensorSumInstance(x, y), InteractionGraph(6, [(1, 2), (3, 4)]))
+        size = path.stat().st_size
+        # the file's bytes and its text, and one matrix's lists at a time
+        assert traced_peak(lambda: load_instance(path)) < 2.5 * size
+        # the whole document of [re, im] lists besides the text
+        assert traced_peak(lambda: whole_document_load(path)) > 3.5 * size
 
 
 class TestValidationErrors:
@@ -436,8 +542,9 @@ def _read_graph(path):
 
 
 class TestCollectorState:
-    """_read_json pauses the cyclic collector while json decodes and leaves
-    it as the caller had it, whatever the file holds."""
+    """_read_json pauses the cyclic collector while json decodes and the
+    reader converts, and leaves it as the caller had it, whatever the file
+    holds."""
 
     @pytest.fixture
     def restore_collector(self):
@@ -464,16 +571,23 @@ class TestCollectorState:
 
     def test_collector_is_paused_while_decoding(self, tmp_path, monkeypatch, restore_collector):
         seen = []
-        loads = json.loads
+        raw_decode, convert = json.JSONDecoder.raw_decode, instance_io.matrix_from_json
 
-        def recording(text):
-            seen.append(gc.isenabled())
-            return loads(text)
+        def recording(call, name):
+            def wrapped(*args):
+                seen.append((name, gc.isenabled()))
+                return call(*args)
 
-        monkeypatch.setattr(instance_io.json, "loads", recording)
+            return wrapped
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording(raw_decode, "decode"))
+        monkeypatch.setattr(instance_io, "matrix_from_json", recording(convert, "convert"))
         gc.enable()
         _read_good_instance(tmp_path / "file.json")
-        assert seen == [False]
+        # 6 keys and 4 values decoded whole; 8 matrices decoded, each converted
+        assert sorted(set(seen)) == [("convert", False), ("decode", False)]
+        assert [name for name, _ in seen].count("convert") == 8
+        assert len(seen) == 6 + 4 + 2 * 8
         assert gc.isenabled()
 
 

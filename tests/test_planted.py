@@ -6,8 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import chained_bell
-from tensorbound import TensorSumInstance, build_report, exact_reference, extreme_spectrum
+from oracles import chained_bell, lift
+from tensorbound import (
+    TensorSumInstance,
+    build_report,
+    exact_reference,
+    extreme_spectrum,
+    phi_table,
+)
+from tensorbound.linalg import LANCZOS_TOL
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -24,3 +31,39 @@ def test_chained_bell_norm_matches_closed_form(settings):
     if settings % 2 == 0:
         # even N: the complete bound is tight, at m = 2N up to 24
         assert build_report(inst).complete_bound == pytest.approx(norm ** 2, rel=1e-14, abs=0)
+
+
+# Lifting chained N = 4 (2 x 2 operators) by 16 x 16 diagonals gives 32 x 32
+# operators and n = 1024, above LANCZOS_MIN_DIM.
+LIFT_DIAGONALS = (np.linspace(-1.0, 1.0, 16), np.linspace(1.0, 0.25, 16))
+# phi and the complete bound are unchanged by a lift in exact arithmetic;
+# rounding in the 32 x 32 products and norms stays well within this.
+LIFT_RTOL = 1e-12
+
+
+def lifted_chained_bell(settings: int = 4):
+    x, y = chained_bell(settings)
+    x_lift, y_lift, spectrum = lift(x, y, *LIFT_DIAGONALS, seed=10)
+    weights = np.ones(2 * settings)
+    return TensorSumInstance(x, y, weights), TensorSumInstance(x_lift, y_lift, weights), spectrum
+
+
+def test_lift_keeps_phi_and_the_complete_bound():
+    base, lifted, _ = lifted_chained_bell()
+    assert lifted.dim_h * lifted.dim_k == 1024
+    phi, phi_lift = phi_table(base).values, phi_table(lifted).values
+    assert np.abs(phi_lift - phi).max() <= LIFT_RTOL * phi.max()
+    complete = build_report(base).complete_bound
+    assert build_report(lifted).complete_bound == pytest.approx(complete, rel=LIFT_RTOL, abs=0)
+
+
+def test_extreme_spectrum_of_a_lift_matches_closed_form():
+    _, lifted, spectrum = lifted_chained_bell()
+    norm = 8 * math.cos(math.pi / 8)
+    assert (spectrum[0], spectrum[-1]) == pytest.approx((-norm, norm), rel=1e-14, abs=0)
+    spec = extreme_spectrum(lifted)
+    assert spec.method == "lanczos"
+    tol = LANCZOS_TOL * max(1.0, float(np.sum(np.abs(lifted.weights))))
+    assert spec.lambda_min == pytest.approx(-norm, rel=0, abs=tol)
+    assert spec.lambda_max == pytest.approx(norm, rel=0, abs=tol)
+    assert spec.spectral_norm == pytest.approx(norm, rel=0, abs=tol)
