@@ -18,6 +18,7 @@ and error messages are 1-based to match the graph module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +32,6 @@ from .linalg import (
     LANCZOS_TOL,
     ExtremeSpectrum,
     as_operator,
-    batches,
     check_dim_cap,
     hermitian_eig,
     kron,
@@ -157,38 +157,55 @@ class PhiTable:
 
 def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
     """||[a_i, a_j]|| and ||{a_i, a_j}|| for every pair (first[k], second[k])
-    of matrices in the stack ``ops``, as two arrays.
+    of matrices in the stack ``ops``, as the two rows of one array.
 
     Each pair takes one product P = a_i a_j: for self-adjoint a, b,
     ba = (ab)*, so [a, b] = P - P* and {a, b} = P + P*, whose norms are those
-    of the Hermitian i(P - P*) and P + P* (linalg.spectral_norm). An
-    operator that TensorSumInstance accepts may miss self-adjointness by its
-    defect E = a - a*, whose delta = ||E||_F >= ||E|| is at most
-    families.HERM_TOL_FACTOR * max(1, ||a||_F). Since
-    ba - (ab)* = E_b a + b E_a - E_b E_a, each norm then differs from that
-    of the true commutator or anticommutator by at most
-    delta_b ||a|| + ||b|| delta_a + delta_a delta_b.
+    of the Hermitian i(P - P*) and P + P*, and one eigvalsh per batch
+    (linalg.spectral_norm) gives both. An operator that TensorSumInstance
+    accepts may miss self-adjointness by its defect E = a - a*, whose
+    delta = ||E||_F >= ||E|| is at most families.HERM_TOL_FACTOR *
+    max(1, ||a||_F). Since ba - (ab)* = E_b a + b E_a - E_b E_a, each norm
+    then differs from that of the true commutator or anticommutator by at
+    most delta_b ||a|| + ||b|| delta_a + delta_a delta_b.
 
-    Pairs go through in linalg.batches, so each temporary stack stays near
-    1 MB: one batch holds all 45 pairs of 10 operators up to d = 38, or all
-    780 pairs of 40 operators up to d = 9.
+    Pairs go through in batches of k, their i(P - P*) and P + P* written
+    into one (2k, d, d) stack of at most max(2 d^2, BATCH_ENTRIES) entries:
+    one batch holds all 45 pairs of 10 operators up to d = 26, or all 780
+    pairs of 40 operators up to d = 6. eigvalsh takes each matrix on its
+    own, so no norm depends on the batch it is in.
     """
-    comm, anti = [], []
-    for part in batches(len(first), ops.shape[1]):  # one empty batch if m = 1
-        p = ops[first[part]] @ ops[second[part]]
+    d, count = ops.shape[1], len(first)
+    step = max(1, BATCH_ENTRIES // (2 * d * d))
+    stack = np.empty((2 * min(step, count), d, d), dtype=complex)
+    norms = np.empty((2, count))
+    for start in range(0, count, step):
+        p = ops[first[start : start + step]] @ ops[second[start : start + step]]
+        k = len(p)
         p_adj = np.swapaxes(p.conj(), -1, -2)
-        comm.append(spectral_norm(1j * (p - p_adj)))
-        anti.append(spectral_norm(p + p_adj))
-    return np.concatenate(comm), np.concatenate(anti)
+        np.subtract(p, p_adj, out=stack[:k])
+        stack[:k] *= 1j
+        np.add(p, p_adj, out=stack[k : 2 * k])
+        norms[:, start : start + k] = spectral_norm(stack[: 2 * k]).reshape(2, k)
+    return norms
+
+
+@functools.lru_cache(maxsize=64)
+def _upper(m: int) -> np.ndarray:
+    """Read-only (m, m) mask of i < j, whose pairs run in np.triu_indices(m, 1)
+    order. exact_reference's blocks, up to 4096 x 4096, skip the cache."""
+    mask = np.arange(m)[:, None] < np.arange(m)
+    mask.flags.writeable = False
+    return mask
 
 
 def phi_table(inst: TensorSumInstance) -> PhiTable:
     """Interaction magnitudes phi_ij for all pairs of an instance, computed
     per side by batched products and batched norms (see _pair_norms)."""
     m = inst.m
-    upper = np.triu_indices(m, k=1)
-    comm_x, anti_x = _pair_norms(inst.x, *upper)
-    comm_y, anti_y = _pair_norms(inst.y, *upper)
+    upper = _upper(m)
+    comm_x, anti_x = _pair_norms(inst.x, *np.nonzero(upper))
+    comm_y, anti_y = _pair_norms(inst.y, *np.nonzero(upper))
     table = np.zeros((m, m))
     table[upper] = 0.5 * (comm_x * comm_y + anti_x * anti_y)
     return PhiTable(m=m, values=table + table.T)
@@ -250,7 +267,7 @@ def check_domination(
     if g.m != inst.m:
         raise ValueError(f"graph has {g.m} vertices but instance has m={inst.m}")
     adj, degree = g.adjacency, g.degrees
-    i, j = np.nonzero(np.triu(adj == 0, k=1))
+    i, j = np.nonzero((adj == 0) & _upper(inst.m))
     if i.size == 0:
         return DominationReport(weighted=weighted, checks=(), violations=())
     if phi is None:
@@ -316,7 +333,7 @@ def exact_reference(
         for c, xi, yi in zip(inst.weights, inst.x, inst.y):
             strip += kron(xi[r:e, :e], yi) * c
         block = strip[:, r * dk :]  # the strip's diagonal block
-        block[np.triu_indices(len(block), 1)] = 0  # B_c's lower triangle only
+        block[_upper.__wrapped__(len(block))] = 0  # B_c's lower triangle only
     return hermitian_eig(b)
 
 
@@ -446,13 +463,14 @@ def build_report(
     w = inst.weights
     terms = np.abs(np.outer(w, w)) * phi.values
     sum_c_sq = float(np.sum(w ** 2))
-    pair_sum = _sum_in_order(terms[np.triu_indices(inst.m, k=1)])
+    upper = _upper(inst.m)
+    pair_sum = _sum_in_order(terms[upper])
     complete = sum_c_sq + pair_sum
 
     c_of_g = edge_sum = sparse = domination = None
     if g is not None:
         domination = check_domination(inst, g, weighted=True, phi=phi)
-        edge_sum = _sum_in_order(terms[np.triu(g.adjacency) > 0])  # edges in sorted order
+        edge_sum = _sum_in_order(terms[(g.adjacency > 0) & upper])  # edges in sorted order
         if g.min_degree() > 0:
             c_of_g = graph_constant(g)
             if domination.satisfied:

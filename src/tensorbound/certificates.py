@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .bounds import TensorSumInstance, require_domination
+from .bounds import TensorSumInstance, _upper, require_domination
 from .bounds import as_weights as _as_weights  # the weights rule TensorSumInstance applies
 from .graphs import InteractionGraph, graph_constant
 
@@ -172,9 +172,9 @@ def build_certificate_report(
         aggregate_edges = excess / c_of_g
     if thresholds or phi_threshold is not None:  # the caps serve only the counts
         products = np.outer(a, a)
-        pair_caps = np.sort(2.0 * products[np.triu_indices(w.size, k=1)])[::-1]
+        pair_caps = np.sort(2.0 * products[_upper(w.size)])[::-1]
         if g is not None:
-            edge_caps = np.sort(4.0 * products[np.triu(g.adjacency) > 0])[::-1]
+            edge_caps = np.sort(4.0 * products[(g.adjacency > 0) & _upper(w.size)])[::-1]
 
     def require_positive_finite(name: str, v: float) -> None:
         if not 0 < v < math.inf:

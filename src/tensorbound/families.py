@@ -81,9 +81,11 @@ def _defects_and_norms(a: np.ndarray):
         defect = frobenius_norms(a - adjoint)
         gram = adjoint @ a
     large = np.maximum(size, defect) == np.inf
-    gram[large] = 0.0
+    if overflow := large.any():
+        gram[large] = 0.0
     norm = _norms_from_gram(gram)
-    norm[large] = np.inf
+    if overflow:
+        norm[large] = np.inf
     return defect, defect <= HERM_TOL_FACTOR * np.maximum(1.0, size), norm
 
 
@@ -100,7 +102,7 @@ def validate(a: np.ndarray) -> ContractionCertificate:
     failures show up as False flags plus the measured defects and norms.
     """
     parts = [_defects_and_norms(a[p]) for p in batches(len(a), a.shape[1])]
-    defect, is_herm, norm = (np.concatenate(arrays) for arrays in zip(*parts))
+    defect, is_herm, norm = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return ContractionCertificate(
         is_hermitian=is_herm,
         hermiticity_defect=defect,

@@ -428,6 +428,71 @@ class TestPhiTable:
             assert abs(table.values[i, j] - brute[(i, j)]) <= bound + rounding
 
 
+class TestPairNormBatches:
+    """_pair_norms writes i(P - P*) and P + P* of a batch of pairs into one
+    stack and takes both norms from one linalg.spectral_norm call."""
+
+    @staticmethod
+    def stacks_seen(monkeypatch):
+        seen = []
+
+        def recorded(h):
+            seen.append(h.shape)
+            return linalg.spectral_norm(h)
+
+        monkeypatch.setattr(bounds, "spectral_norm", recorded)
+        return seen
+
+    @pytest.mark.parametrize("m, dim_h, dim_k", [(2, 1, 1), (5, 4, 3), (10, 26, 2), (40, 6, 2)])
+    def test_one_call_per_side_when_the_pairs_fit_one_batch(self, m, dim_h, dim_k, monkeypatch):
+        # 45 pairs of 10 operators fit one batch up to d = 26, 780 pairs of 40 up to d = 6
+        rng = np.random.default_rng(m)
+        x = random_operator("contraction", dim_h, rng.integers(0, 2**32, m).tolist())
+        y = random_operator("contraction", dim_k, rng.integers(0, 2**32, m).tolist())
+        inst = TensorSumInstance(x, y)
+        seen = self.stacks_seen(monkeypatch)
+        phi_table(inst)
+        pairs = m * (m - 1) // 2
+        assert seen == [(2 * pairs, dim_h, dim_h), (2 * pairs, dim_k, dim_k)]
+
+    def test_a_larger_dimension_takes_a_second_batch(self, monkeypatch):
+        x = random_operator("contraction", 27, range(10))
+        seen = self.stacks_seen(monkeypatch)
+        bounds._pair_norms(x, *np.triu_indices(10, 1))
+        assert len(seen) == 2
+
+    def test_batches_give_the_per_pair_norms_bitwise(self, monkeypatch):
+        m, d = 12, 96
+        ops = random_operator("contraction", d, range(100, 100 + m))
+        first, second = np.triu_indices(m, 1)
+        seen = self.stacks_seen(monkeypatch)
+        comm, anti = bounds._pair_norms(ops, first, second)
+        assert len(seen) > 2  # several batches
+        assert all(np.prod(shape) <= linalg.BATCH_ENTRIES for shape in seen)
+        assert sum(shape[0] for shape in seen) == 2 * len(first)
+        for k, (i, j) in enumerate(zip(first, second)):
+            p = ops[i] @ ops[j]
+            p_adj = p.conj().T
+            assert comm[k] == linalg.spectral_norm((1j * (p - p_adj))[None])[0]
+            assert anti[k] == linalg.spectral_norm((p + p_adj)[None])[0]
+
+    def test_no_pairs_no_eigensolve(self, monkeypatch):
+        seen = self.stacks_seen(monkeypatch)
+        comm, anti = bounds._pair_norms(np.stack([SX]), *np.triu_indices(1, 1))
+        assert (seen, comm.size, anti.size) == ([], 0, 0)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_upper_mask_orders_pairs_as_triu_indices(self, m):
+        mask = bounds._upper(m)
+        assert not mask.flags.writeable
+        first, second = np.nonzero(mask)
+        expected = np.triu_indices(m, 1)
+        assert np.array_equal(first, expected[0]) and np.array_equal(second, expected[1])
+        values = np.arange(m * m).reshape(m, m)
+        assert values[mask].tolist() == values[expected].tolist()
+        assert bounds._upper.__wrapped__(m).tolist() == mask.tolist()
+
+
 class TestCompleteBound:
     def test_clifford_three_is_nine(self):
         gens = clifford_generators(3)

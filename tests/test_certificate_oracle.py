@@ -25,8 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from oracles import brute_phi_breakdown, count_edges_at_least, count_pairs_at_least
+from oracles import (
+    brute_phi_breakdown,
+    chained_bell,
+    count_edges_at_least,
+    count_pairs_at_least,
+)
 from tensorbound import (
+    InteractionGraph,
     SweepConfig,
     TensorSumInstance,
     build_certificate_report,
@@ -71,6 +77,12 @@ def rebuilt_instance(config, index):
 
 def trial_counts(config, index):
     inst, graph = rebuilt_instance(config, index)
+    return instance_counts(inst, graph, index)
+
+
+def instance_counts(inst, graph, index):
+    """Counts at beta = the exact lambda_max, with ``graph`` when edge
+    domination holds, beside the oracle's; ``index`` labels them."""
     w = inst.weights
     brute = brute_phi_breakdown(inst.x, inst.y)
     terms = sorted({abs(float(w[i]) * float(w[j])) * phi for (i, j), phi in brute.items()} - {0.0})
@@ -134,3 +146,17 @@ def test_rebuilt_trials_are_the_sweeps(name):
         norm = exact_reference(inst).spectral_norm
         assert (result.m, result.dim_h, result.dim_k) == (inst.m, inst.dim_h, inst.dim_k)
         assert result.exact_norm_squared == norm ** 2
+
+
+@pytest.mark.parametrize("settings", range(2, 13))
+def test_chained_bell_counts_stay_within_the_oracle(settings):
+    # Tight instances at m = 2N up to 24 (ROADMAP item 10), where beta = the
+    # exact lambda_max leaves an excess to certify, unlike most random trials.
+    # The graph is the cycle that joins terms sharing an operator.
+    m = 2 * settings
+    inst = TensorSumInstance(*chained_bell(settings))
+    cycle = InteractionGraph(m, [(k, k % m + 1) for k in range(1, m + 1)])
+    counts = instance_counts(inst, cycle, settings)
+    bad = overcounts(counts)
+    assert not bad, f"{len(bad)} counts above the oracle, first {bad[:3]}"
+    assert any(c.pairs > 0 for c in counts)
