@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_DIM_CAP, batches, frobenius_norms
+from .linalg import BATCH_ENTRIES, DEFAULT_DIM_CAP, frobenius_norms
 
 # validate's acceptance rule: an operator a is self-adjoint when
 # ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F), and a contraction when
@@ -90,18 +90,20 @@ def _defects_and_norms(a: np.ndarray):
 
 
 def validate(a: np.ndarray) -> ContractionCertificate:
-    """Certify whether each matrix of a (k, d, d) stack is a self-adjoint
-    contraction, one linalg.batches batch at a time: a Frobenius reduction
-    gives the hermiticity defects ||a - a*||_F, and one eigvalsh of a* a its
-    largest eigenvalue mu_max, hence the norm sqrt(mu_max) (_norms_from_gram,
-    the arithmetic random_operator scales by). The Gram route measures the
-    norm of a matrix that may fail the self-adjointness check.
+    """Certify whether each matrix of a (k, d, d) stack, k >= 1, is a
+    self-adjoint contraction, max(1, BATCH_ENTRIES // d^2) matrices at a
+    time: a Frobenius reduction gives the hermiticity defects ||a - a*||_F,
+    and one eigvalsh of a* a its largest eigenvalue mu_max, hence the norm
+    sqrt(mu_max) (_norms_from_gram, the arithmetic random_operator scales
+    by). The Gram route measures the norm of a matrix that may fail the
+    self-adjointness check.
 
     The stack is taken unchecked: TensorSumInstance passes operators that
     linalg.as_operator has checked to be finite and square. Never raises;
     failures show up as False flags plus the measured defects and norms.
     """
-    parts = [_defects_and_norms(a[p]) for p in batches(len(a), a.shape[1])]
+    step = max(1, BATCH_ENTRIES // a.shape[1] ** 2)
+    parts = [_defects_and_norms(a[s : s + step]) for s in range(0, len(a), step)]
     defect, is_herm, norm = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return ContractionCertificate(
         is_hermitian=is_herm,

@@ -7,6 +7,8 @@ shortest round-tripping representation, so serialize(parse(f)) preserves
 every value bit-exactly. Files hold one unindented top-level key per line,
 so json writes them with its C encoder; indented files load unchanged.
 Writer and reader both stream: neither holds a whole document of lists.
+The reader converts each x and y matrix at its own size as it decodes it,
+in any key order, and instance_from_dict checks it against the dimensions.
 """
 
 from __future__ import annotations
@@ -48,13 +50,16 @@ def matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
 
     The pairs go through one numpy conversion. When a row or pair is
     malformed or not finite, a per-entry scan finds and raises the refusal
-    of the first bad row or entry.
+    of the first bad row or entry. A matrix this function returned passes
+    through once its row count is checked to be ``dim``.
     """
-    if not isinstance(rows, list) or len(rows) != dim:
+    sized = isinstance(rows, (list, np.ndarray))
+    if not sized or len(rows) != dim:
         raise ValueError(
-            f"{where}: expected {dim} rows, got "
-            f"{len(rows) if isinstance(rows, list) else type(rows).__name__}"
+            f"{where}: expected {dim} rows, got {len(rows) if sized else type(rows).__name__}"
         )
+    if isinstance(rows, np.ndarray):
+        return rows
     if _only(rows, list) and set(map(len, rows)) == {dim}:
         cells = list(chain.from_iterable(rows))
         # types are checked before lengths are taken and parts iterated
@@ -122,20 +127,6 @@ def graph_to_json(g: InteractionGraph) -> dict:
 
 
 def instance_from_dict(doc) -> tuple[TensorSumInstance, InteractionGraph | None]:
-    return _instance_from_doc(doc, matrix_from_json)
-
-
-def _converted(rows, dim: int, where: str) -> np.ndarray:
-    """matrix_from_json, passing through a matrix the reader converted."""
-    if not isinstance(rows, np.ndarray):
-        return matrix_from_json(rows, dim, where)
-    if len(rows) != dim:  # a later dim_h or dim_k overrode the one it used
-        raise ValueError(f"{where}: expected {dim} rows, got {len(rows)}")
-    return rows
-
-
-def _instance_from_doc(doc, matrix) -> tuple[TensorSumInstance, InteractionGraph | None]:
-    """instance_from_dict, with ``matrix`` converting each x and y entry."""
     if not isinstance(doc, dict):
         raise ValueError("instance file must hold a JSON object")
     version = doc.get("schema_version")
@@ -150,8 +141,8 @@ def _instance_from_doc(doc, matrix) -> tuple[TensorSumInstance, InteractionGraph
     if not isinstance(y_raw, list) or len(y_raw) != len(x_raw):
         raise ValueError(f"y must be an array of {len(x_raw)} matrices to match x")
     m = len(x_raw)
-    x = [matrix(rows, dim_h, f"x[{k}]") for k, rows in enumerate(x_raw)]
-    y = [matrix(rows, dim_k, f"y[{k}]") for k, rows in enumerate(y_raw)]
+    x = [matrix_from_json(rows, dim_h, f"x[{k}]") for k, rows in enumerate(x_raw)]
+    y = [matrix_from_json(rows, dim_k, f"y[{k}]") for k, rows in enumerate(y_raw)]
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != m:
@@ -191,10 +182,10 @@ def instance_to_dict(
 
 def _walk(text: str):
     """The JSON document in ``text``, its keys and values each decoded by
-    json's C scanner, and each x or y matrix converted before the next is
-    decoded once a valid dim_h or dim_k has been read; one that fails stays
-    as its lists, for instance_from_dict's checks. Text that is not a JSON
-    object goes to json.loads, which only raises or returns the non-object.
+    json's C scanner, and each x or y matrix converted at its own row count
+    before the next is decoded; one that fails, or is empty or not a list,
+    stays as json decoded it, for instance_from_dict's checks. Text that is
+    not a JSON object goes to json.loads, which only raises or returns it.
     """
     decode, space = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE
     doc = {}
@@ -216,16 +207,16 @@ def _walk(text: str):
         skip(i, '"')  # a key is a string; raw_decode would take any value
         key, i = decode(text, i)
         i = skip(skip(i), ":")
-        dim = doc.get({"x": "dim_h", "y": "dim_k"}.get(key))
-        if not (text.startswith("[", i) and type(dim) is int and dim > 0):
+        if key not in ("x", "y") or not text.startswith("[", i):
             doc[key], i = decode(text, i)
             return i
         doc[key] = stack = []
 
         def matrix(j: int) -> int:
             rows, j = decode(text, j)
-            with suppress(ValueError):
-                rows = matrix_from_json(rows, dim, key)
+            if isinstance(rows, list) and rows:
+                with suppress(ValueError):
+                    rows = matrix_from_json(rows, len(rows), key)
             stack.append(rows)
             return j
 
@@ -238,9 +229,9 @@ def _walk(text: str):
     return json.loads(text)
 
 
-def _read_json(path, decode=json.loads):
-    """``decode`` of the file's text, with the cyclic collector paused: the
-    many small [re, im] lists that decoding builds would set off passes that
+def _read_json(path):
+    """_walk of the file's text, with the cyclic collector paused: the many
+    small [re, im] lists that decoding builds would set off passes that
     rescan them, and it makes no cycles, so reference counting frees all."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -249,7 +240,7 @@ def _read_json(path, decode=json.loads):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return decode(text)
+        return _walk(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     finally:
@@ -259,9 +250,10 @@ def _read_json(path, decode=json.loads):
 
 def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
     """The instance in the file, decoded and converted one matrix at a time
-    (_walk): the peak holds the file's bytes and text, not a whole document
-    of lists besides. Refusals are those of instance_from_dict(json.loads)."""
-    return _instance_from_doc(_read_json(path, _walk), _converted)
+    (_walk) in any key order: the peak holds the file's bytes and text, not
+    a whole document of lists besides. Refusals are those of
+    instance_from_dict(json.loads(text))."""
+    return instance_from_dict(_read_json(path))
 
 
 def save_instance(

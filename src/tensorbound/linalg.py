@@ -58,13 +58,6 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
-def batches(count: int, dim: int) -> list[slice]:
-    """Slices cutting ``count`` d x d matrices into batches of at most
-    max(1, BATCH_ENTRIES // d^2); one empty slice when count is 0."""
-    step = max(1, BATCH_ENTRIES // dim ** 2)
-    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
-
-
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """||s||_F of each matrix of a stack, through a real view (no temporary)."""
     k, d, _ = stack.shape

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eig2x2_hermitian, involution_defect, svd_norm
-from tensorbound import clifford_generators, pauli, random_operator
+from tensorbound import clifford_generators, families, pauli, random_operator
 from tensorbound.families import ENSEMBLE_KINDS, _norms_from_gram, validate
-from tensorbound.linalg import spectral_norm
+from tensorbound.linalg import BATCH_ENTRIES, spectral_norm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -125,7 +125,7 @@ class TestValidateStack:
                 assert not cert.is_contraction[k]
 
     def test_stack_spanning_several_batches(self):
-        # 96 x 96 operators go through linalg.batches 7 at a time
+        # 96 x 96 operators go through validate 7 at a time
         rng = np.random.default_rng(5)
         kinds = OPERATOR_KINDS * 3
         stack = np.stack([draw_operator(rng, kind, 96) for kind in kinds])
@@ -138,9 +138,23 @@ class TestValidateStack:
             assert cert.norm[k] == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
             assert cert.hermiticity_defect[k] == pytest.approx(single.hermiticity_defect[0], rel=1e-13)
 
-    def test_empty_stack(self):
-        cert = validate(np.zeros((0, 3, 3), dtype=complex))
-        assert cert.norm.shape == cert.is_hermitian.shape == (0,)
+    @pytest.mark.parametrize("count, dim", [(1, 3), (12, 3), (12, 96), (7, 256), (5000, 4)])
+    def test_batches_cover_the_stack_in_order_within_the_budget(self, count, dim, monkeypatch):
+        seen = []
+        defects_and_norms = families._defects_and_norms
+
+        def recording(part):
+            seen.append(part)
+            return defects_and_norms(part)
+
+        monkeypatch.setattr(families, "_defects_and_norms", recording)
+        stack = np.arange(count, dtype=complex)[:, None, None] * np.eye(dim)
+        cert = validate(stack)
+        # matrix k is k I, so the batches in call order spell the stack
+        assert np.concatenate([part[:, 0, 0].real for part in seen]).tolist() == list(range(count))
+        assert all(part.size <= BATCH_ENTRIES or len(part) == 1 for part in seen)
+        assert len(seen) == -(-count // max(1, BATCH_ENTRIES // dim ** 2))
+        assert cert.norm == pytest.approx(np.arange(count), rel=1e-14)
 
 
 class TestCliffordGenerators:

@@ -22,6 +22,7 @@ from tensorbound.demos import build_demo
 from tensorbound.graphs import InteractionGraph
 from tensorbound.instance_io import (
     SCHEMA_VERSION,
+    graph_from_json,
     load_graph,
     matrix_from_json,
     matrix_to_json,
@@ -216,14 +217,18 @@ class TestStreamingWriter:
         assert old_peak > 4 * size
 
 
-def whole_document_load(path):
-    """The reader as it was: json.loads of the whole text, then instance_from_dict."""
+def whole_document(path):
+    """json.loads of the file's whole text, refused as the reader refuses it."""
     text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+
+
+def whole_document_load(path):
+    """The reader as it was: json.loads of the whole text, then instance_from_dict."""
+    return instance_from_dict(whole_document(path))
 
 
 def outcome(read, path):
@@ -243,6 +248,11 @@ def chsh_text(bad_x: int | None = None, **changes) -> str:
     if bad_x is not None:
         doc["x"][bad_x][0][1] = [1.0]
     return json.dumps(doc)
+
+
+def chsh_with_x0(rows) -> str:
+    """chsh_text with ``rows`` in place of the matrix x[0]."""
+    return chsh_text(x=[rows, *chsh_dict()["x"][1:]])
 
 
 def odd_whitespace(text: str) -> str:
@@ -268,6 +278,20 @@ STREAM_CASES = {
     "top-level-array": f"[{CHSH}]",
     "nan-entry": CHSH.replace("1.0", "NaN", 1),
     "past-the-digit-limit": CHSH.replace('"weights": [', f'"weights": [{"7" * 5001}, ', 1),
+    "x0-empty": chsh_with_x0([]),
+    "x0-zero": chsh_with_x0(0),
+    "x0-string": chsh_with_x0("ab"),
+    "x0-two-rows-of-three-pairs": chsh_with_x0([[[1.0, 0.0]] * 3] * 2),
+    "y-before-a-later-dim_k": json.dumps(
+        {k: v for k, v in chsh_dict().items() if k != "dim_k"} | {"dim_k": 2}
+    ),
+}
+GRAPH = '{"edges": [[0, 1], [1, 2]]}'
+GRAPH_CASES = {
+    "duplicate-keys": '{"edges": [[0, 0]], "m": 4, "edges": [[0, 1], [1, 2]], "m": 3}',
+    "trailing-data": GRAPH + " {}",
+    "top-level-array": f"[{GRAPH}]",
+    "with-an-x-matrix": '{"edges": [[0, 1]], "x": [[[[1.0, 0.0]]], [[0, 1]]]}',
 }
 
 
@@ -318,6 +342,28 @@ class TestStreamingReader:
         assert traced_peak(lambda: load_instance(path)) < 2.5 * size
         # the whole document of [re, im] lists besides the text
         assert traced_peak(lambda: whole_document_load(path)) > 3.5 * size
+
+    def test_extra_memory_is_about_the_text_with_stacks_before_dims(self, tmp_path):
+        x, y = stacks(26, 6, 64, 64)
+        doc = instance_to_dict(TensorSumInstance(x, y), InteractionGraph(6, [(1, 2), (3, 4)]))
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(dict(reversed(doc.items()))))
+        # every matrix is converted as it is decoded, whatever precedes it
+        assert traced_peak(lambda: load_instance(path)) < 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("case", list(GRAPH_CASES))
+    def test_load_graph_matches_the_whole_document(self, case, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(GRAPH_CASES[case])
+
+        def edges(read):
+            try:
+                return read().edges
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        expected = edges(lambda: graph_from_json(whole_document(path), 3))
+        assert edges(lambda: load_graph(path, 3)) == expected
 
 
 class TestValidationErrors:
@@ -575,7 +621,8 @@ class TestCollectorState:
 
         def recording(call, name):
             def wrapped(*args):
-                seen.append((name, gc.isenabled()))
+                if name == "decode" or isinstance(args[0], list):  # not a pass-through
+                    seen.append((name, gc.isenabled()))
                 return call(*args)
 
             return wrapped
@@ -585,6 +632,7 @@ class TestCollectorState:
         gc.enable()
         _read_good_instance(tmp_path / "file.json")
         # 6 keys and 4 values decoded whole; 8 matrices decoded, each converted
+        # (instance_from_dict passes the 8 through after the collector is restored)
         assert sorted(set(seen)) == [("convert", False), ("decode", False)]
         assert [name for name, _ in seen].count("convert") == 8
         assert len(seen) == 6 + 4 + 2 * 8

@@ -9,7 +9,6 @@ from oracles import power_iteration_spectrum, svd_norm
 from tensorbound import as_operator, pauli
 from tensorbound.linalg import (
     BATCH_ENTRIES,
-    batches,
     frobenius_norms,
     hermitian_eig,
     kron,
@@ -230,17 +229,6 @@ class TestHermitianEig:
         assert (summary.method, summary.steps, summary.residual) == ("dense", None, None)
 
 
-class TestBatches:
-    @pytest.mark.parametrize("count, dim", [(0, 3), (1, 3), (12, 3), (12, 96), (7, 256), (5000, 4)])
-    def test_cover_the_stack_in_order_within_the_budget(self, count, dim):
-        parts = batches(count, dim)
-        covered = [i for part in parts for i in range(count)[part]]
-        assert covered == list(range(count))
-        sizes = [len(range(count)[part]) for part in parts]
-        assert all(size * dim * dim <= BATCH_ENTRIES for size in sizes if size > 1)
-        assert len(parts) == max(1, -(-count // max(1, BATCH_ENTRIES // dim ** 2)))
-
-
 class TestFrobeniusNorms:
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -295,10 +283,10 @@ class TestSpectralNorm:
         assert spectral_norm(stack) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_agrees_with_svd_on_a_stack_of_several_batches(self):
-        # 40 matrices of d = 64 fill linalg.batches three times over
+        # 40 matrices of d = 64 fill three batches of BATCH_ENTRIES entries
         rng = np.random.default_rng(11)
         dim = 64
-        assert len(batches(40, dim)) == 3
+        assert -(-40 // (BATCH_ENTRIES // dim ** 2)) == 3
         stack = np.stack([random_hermitian(rng, dim) for _ in range(40)])
         stack[7] = 0.0
         expected = [svd_norm(a) for a in stack]
