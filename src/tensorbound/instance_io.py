@@ -6,9 +6,11 @@ unlike reports, which are 1-based. Floats are written with Python's
 shortest round-tripping representation, so serialize(parse(f)) preserves
 every value bit-exactly. Files hold one unindented top-level key per line,
 so json writes them with its C encoder; indented files load unchanged.
-Writer and reader both stream: neither holds a whole document of lists.
-The reader converts each x and y matrix at its own size as it decodes it,
-in any key order, and instance_from_dict checks it against the dimensions.
+The writer writes one row at a time, and the reader reads through a
+window of text whose size does not depend on the file's: neither holds the
+whole text or a whole document of lists. The reader converts each x and y
+matrix at its own size as it decodes it, in any key order, and
+instance_from_dict checks it against the dimensions.
 """
 
 from __future__ import annotations
@@ -180,78 +182,127 @@ def instance_to_dict(
     }
 
 
-def _walk(text: str):
-    """The JSON document in ``text``, its keys and values each decoded by
-    json's C scanner, and each x or y matrix converted at its own row count
-    before the next is decoded; one that fails, or is empty or not a list,
-    stays as json decoded it, for instance_from_dict's checks. Text that is
-    not a JSON object goes to json.loads, which only raises or returns it.
+_WINDOW = 1 << 20  # characters of text the reader holds, or twice a matrix's
+
+
+def _walk(f):
+    """The JSON object in the text file ``f``, its keys and values each
+    decoded by json's C scanner, and each x or y matrix converted at its own
+    row count before the next is decoded; one that fails, or is empty or not
+    a list, stays as json decoded it, for instance_from_dict's checks.
+
+    The text is read through a window that holds the file from the value
+    being decoded on: at least _WINDOW characters, and before each matrix
+    twice the last matrix's text, so that each matrix of a file the writer
+    made is decoded once. A value is taken only if the file has ended or
+    more than two characters of the window follow it (a number cut off at
+    the edge decodes short, and may end up to two characters before it);
+    otherwise the window doubles and the value is decoded again. Raises
+    ValueError, for _read_json to read the text whole, if the text is not a
+    JSON object or not UTF-8.
     """
     decode, space = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE
+    text, base, eof, last = "", 0, False, 0  # the window starts at position base
     doc = {}
 
+    def fill(i: int, size: int) -> int:  # the window's index of i, with size characters from i
+        nonlocal text, base, eof
+        have = base + len(text) - i
+        if have < size and not eof:
+            want = max(_WINDOW, size) - have
+            more = f.read(want)
+            text, base, eof = text[i - base :] + more, i, len(more) < want
+        return i - base
+
+    def at(i: int, char: str) -> bool:
+        return text.startswith(char, i - base)
+
+    def value(i: int):  # the value at i and the position past it
+        while True:
+            j = fill(i, 1)
+            try:
+                obj, end = decode(text, j)
+                if end + 2 < len(text) or eof:  # "1.", "1e" or "1e-" at the edge goes on
+                    return obj, base + end
+            except ValueError:
+                if eof:
+                    raise
+            fill(i, 2 * (len(text) - j))
+
     def skip(i: int, char: str = "") -> int:  # past ``char`` at i and the whitespace after
-        if not text.startswith(char, i):
+        if not at(i, char):
             raise ValueError(f"expected {char!r} at {i}")
-        return space.match(text, i + len(char)).end()
+        i += len(char)
+        while True:  # whitespace may run on past the window
+            j = fill(i, 1)
+            i = base + space.match(text, j).end()
+            if i < base + len(text) or eof:
+                return i
 
     def members(i: int, close: str, member) -> int:  # past the container opening at i
         i = skip(i + 1)
-        if text.startswith(close, i):
+        if at(i, close):
             return i + 1
-        while not text.startswith(close, i := skip(member(i))):
+        while not at(i := skip(member(i)), close):
             i = skip(i, ",")
         return i + 1
 
     def member(i: int) -> int:
-        skip(i, '"')  # a key is a string; raw_decode would take any value
-        key, i = decode(text, i)
+        if not at(i, '"'):  # a key is a string; raw_decode would take any value
+            raise ValueError(f"expected a key at {i}")
+        key, i = value(i)
         i = skip(skip(i), ":")
-        if key not in ("x", "y") or not text.startswith("[", i):
-            doc[key], i = decode(text, i)
+        if key not in ("x", "y") or not at(i, "["):
+            doc[key], i = value(i)
             return i
         doc[key] = stack = []
 
         def matrix(j: int) -> int:
-            rows, j = decode(text, j)
+            nonlocal last
+            fill(j, 2 * last)
+            rows, end = value(j)
+            last = end - j
             if isinstance(rows, list) and rows:
                 with suppress(ValueError):
                     rows = matrix_from_json(rows, len(rows), key)
             stack.append(rows)
-            return j
+            return end
 
         return members(i, "]", matrix)
 
-    with suppress(ValueError):
-        i = skip(0)
-        if text.startswith("{", i) and skip(members(i, "}", member)) == len(text):
-            return doc
-    return json.loads(text)
+    i = skip(0)
+    if not at(i, "{") or skip(members(i, "}", member)) != base + len(text):
+        raise ValueError("not one JSON object")
+    return doc
 
 
 def _read_json(path):
-    """_walk of the file's text, with the cyclic collector paused: the many
-    small [re, im] lists that decoding builds would set off passes that
-    rescan them, and it makes no cycles, so reference counting frees all."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    """_walk of the file, with the cyclic collector paused: the many small
+    [re, im] lists that decoding builds would set off passes that rescan
+    them, and it makes no cycles, so reference counting frees all. A file
+    _walk refuses is read whole and given to json.loads, so every refusal,
+    and the UTF-8 error's byte position, is that of the whole text."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _walk(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        with suppress(ValueError), Path(path).open(encoding="utf-8") as f:
+            return _walk(f)
+        try:
+            return json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     finally:
         if collecting:
             gc.enable()
 
 
 def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
-    """The instance in the file, decoded and converted one matrix at a time
-    (_walk) in any key order: the peak holds the file's bytes and text, not
-    a whole document of lists besides. Refusals are those of
+    """The instance in the file, read through a window of its text and
+    decoded and converted one matrix at a time (_walk) in any key order:
+    besides the converted matrices, the peak holds the window and one
+    matrix's lists, not the file's text. Refusals are those of
     instance_from_dict(json.loads(text))."""
     return instance_from_dict(_read_json(path))
 
@@ -259,21 +310,24 @@ def load_instance(path) -> tuple[TensorSumInstance, InteractionGraph | None]:
 def save_instance(
     path, inst: TensorSumInstance, graph: InteractionGraph | None = None
 ) -> None:
-    """One compact top-level key per line, written one matrix at a time.
+    """One compact top-level key per line, written one matrix row at a time.
 
     Each value is ``json.dumps`` of it (json uses its C encoder only without
-    indent), and a stack is written as the list of its matrices, so the file
-    holds the bytes of ``json.dumps`` of ``instance_to_dict``'s values. Only
-    one matrix's lists and text are held at once, not the whole document.
+    indent), and a stack is written as the list of its matrices, each the
+    list of its rows, so the file holds the bytes of ``json.dumps`` of
+    ``instance_to_dict``'s values. Only one row's lists and text are held at
+    once, not a matrix's or the whole document's.
     """
     with Path(path).open("w", encoding="utf-8") as f:
         sep = "{\n"
         for key, value in _layout(inst, graph).items():
             f.write(f"{sep}  {json.dumps(key)}: ")
             if isinstance(value, np.ndarray):
-                f.write("[")
                 for k, a in enumerate(value):
-                    f.write((", " if k else "") + json.dumps(matrix_to_json(a)))
+                    f.write(", [" if k else "[[")
+                    for r, row in enumerate(a):
+                        f.write((", " if r else "") + json.dumps(matrix_to_json(row)))
+                    f.write("]")
                 f.write("]")
             else:
                 f.write(json.dumps(value))

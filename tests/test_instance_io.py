@@ -216,6 +216,13 @@ class TestStreamingWriter:
         old_peak = traced_peak(lambda: old_composition(inst, graph).encode("utf-8"))
         assert old_peak > 4 * size
 
+    def test_extra_memory_is_about_a_row(self, tmp_path):
+        x, y = stacks(25, 6, 64, 64)
+        path = tmp_path / "wide.json"
+        inst = TensorSumInstance(x, y)
+        # each row's lists and text, not a whole matrix's (0.53x the file)
+        assert traced_peak(lambda: save_instance(path, inst)) < 0.05 * path.stat().st_size
+
 
 def whole_document(path):
     """json.loads of the file's whole text, refused as the reader refuses it."""
@@ -275,6 +282,7 @@ STREAM_CASES = {
     "schema-with-bad-matrix": chsh_text(bad_x=0, schema_version="tensorbound/99"),
     "bad-entry-in-x1": chsh_text(bad_x=1),
     "trailing-data": CHSH + " {}",
+    "exponents-first": '{"z": 0.5, "w": 1e-3, "v": 2.5E+2, ' + CHSH[1:],
     "top-level-array": f"[{CHSH}]",
     "nan-entry": CHSH.replace("1.0", "NaN", 1),
     "past-the-digit-limit": CHSH.replace('"weights": [', f'"weights": [{"7" * 5001}, ', 1),
@@ -351,6 +359,18 @@ class TestStreamingReader:
         # every matrix is converted as it is decoded, whatever precedes it
         assert traced_peak(lambda: load_instance(path)) < 2.5 * path.stat().st_size
 
+    def test_extra_memory_does_not_grow_with_the_file(self, tmp_path):
+        peaks, sizes = [], []
+        for m in (6, 24):
+            path = tmp_path / f"wide-{m}.json"
+            save_instance(path, TensorSumInstance(*stacks(26, m, 64, 64)))
+            peaks.append(traced_peak(lambda: instance_io._read_json(path)))
+            sizes.append(path.stat().st_size)
+        # the 36 more 64 x 64 matrices, converted; the window stays as it was
+        # (the file's bytes and text would add twice the 6.8 MB more of file)
+        arrays = 2 * 18 * 64 * 64 * 16
+        assert peaks[1] - peaks[0] < arrays + 0.1 * (sizes[1] - sizes[0])
+
     @pytest.mark.parametrize("case", list(GRAPH_CASES))
     def test_load_graph_matches_the_whole_document(self, case, tmp_path):
         path = tmp_path / "graph.json"
@@ -364,6 +384,104 @@ class TestStreamingReader:
 
         expected = edges(lambda: graph_from_json(whole_document(path), 3))
         assert edges(lambda: load_graph(path, 3)) == expected
+
+
+def larger_than(chars: int) -> str:
+    """A one-term instance file whose x matrix takes more than ``chars`` characters."""
+    dim = 2 + math.isqrt(chars // 30)  # every [re, im] pair takes over 30
+    x, y = stacks(27, 1, dim, 2)
+    text = json.dumps(instance_to_dict(TensorSumInstance(x, y)))
+    assert len(json.dumps(matrix_to_json(x[0]))) > chars
+    return text
+
+
+def walks(path) -> bool:
+    """Whether _walk reads the file itself, not leaving it to json.loads."""
+    with path.open(encoding="utf-8") as f:
+        try:
+            instance_io._walk(f)
+        except ValueError:
+            return False
+    return True
+
+
+def holds_an_object(path) -> bool:
+    try:
+        return isinstance(json.loads(path.read_text(encoding="utf-8")), dict)
+    except ValueError:
+        return False
+
+
+class TestReaderWindow:
+    """Windows far below a value's length give what json.loads of the whole
+    text does: a value cut at the window's edge is decoded again, never
+    taken short."""
+
+    # for CHSH-sized files: a 1-character window over a 6 MB file takes minutes
+    @pytest.fixture(params=[1, 7, 64])
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(instance_io, "_WINDOW", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_same_instance_or_refusal(self, case, window, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(STREAM_CASES[case])
+        assert outcome(load_instance, path) == outcome(whole_document_load, path)
+        assert walks(path) == holds_an_object(path)
+
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in GOLDEN.glob("*.json")))
+    def test_golden_demos_load_bitwise(self, stem, window, tmp_path):
+        golden = json.loads((GOLDEN / f"{stem}.json").read_text())
+        path = tmp_path / "demo.json"
+        save_instance(path, *build_demo(golden["demo"], golden["m_arg"]))
+        streamed = outcome(load_instance, path)
+        assert streamed == outcome(whole_document_load, path) and streamed[0] is not ValueError
+        assert walks(path)
+
+    @pytest.mark.parametrize("window", [1, 7, 64, instance_io._WINDOW], indirect=True)
+    def test_matrix_larger_than_the_window(self, window, tmp_path):
+        path = tmp_path / "large.json"
+        path.write_text(larger_than(window))
+        streamed = outcome(load_instance, path)
+        assert streamed == outcome(whole_document_load, path) and streamed[0] is not ValueError
+        assert walks(path)
+
+    @pytest.mark.parametrize("window", [1, 7, 64, instance_io._WINDOW], indirect=True)
+    def test_not_utf8_past_the_window_names_its_file_position(self, window, tmp_path):
+        path = tmp_path / "late.json"
+        text = CHSH if window < len(CHSH) else larger_than(window)
+        path.write_bytes(text[:-1].encode() + b', "name": "\xe9"}')
+        with pytest.raises(UnicodeDecodeError) as exc:
+            path.read_text(encoding="utf-8")
+        assert exc.value.start > window
+        with pytest.raises(ValueError) as err:
+            load_instance(path)
+        assert str(err.value) == f"{path}: not valid UTF-8: {exc.value}"
+
+    def test_each_matrix_after_the_first_is_decoded_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(instance_io, "_WINDOW", 64)
+        path = tmp_path / "i.json"
+        save_instance(path, TensorSumInstance(*stacks(28, 3, 8, 8)))
+        calls = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def recording(self, s, idx=0):
+            try:
+                value, end = raw_decode(self, s, idx)
+            except ValueError:
+                calls.append("failed")
+                raise
+            calls.append("matrix" if isinstance(value, list) and len(value) == 8 else "other")
+            return value, end
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording)
+        load_instance(path)
+        # the first matrix overruns the 64-character window and is decoded
+        # again in a doubled one; the window then holds twice each matrix
+        first = calls.index("matrix")
+        assert "failed" in calls[:first] and "failed" not in calls[first:]
+        assert calls.count("matrix") == 6
 
 
 class TestValidationErrors:

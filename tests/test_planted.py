@@ -14,7 +14,8 @@ from tensorbound import (
     extreme_spectrum,
     phi_table,
 )
-from tensorbound.linalg import LANCZOS_TOL
+from tensorbound.bounds import _tensor_sum_matvec
+from tensorbound.linalg import DEFAULT_DIM_CAP, LANCZOS_MAX_STEPS, LANCZOS_TOL, lanczos_extremes
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -67,3 +68,31 @@ def test_extreme_spectrum_of_a_lift_matches_closed_form():
     assert spec.lambda_min == pytest.approx(-norm, rel=0, abs=tol)
     assert spec.lambda_max == pytest.approx(norm, rel=0, abs=tol)
     assert spec.spectral_norm == pytest.approx(norm, rel=0, abs=tol)
+
+
+def test_dense_spectrum_of_a_lift_matches_closed_form():
+    _, lifted, spectrum = lifted_chained_bell()
+    n = lifted.dim_h * lifted.dim_k
+    norm = 8 * math.cos(math.pi / 8)
+    w = exact_reference(lifted).eigenvalues
+    assert n == 1024 and len(w) == len(spectrum)
+    assert np.abs(w - spectrum).max() <= n * UNIT_ROUNDOFF * norm
+
+
+def test_lanczos_above_the_cap_matches_closed_form():
+    # 64 x 64 diagonals give 128 x 128 operators and n = 16384, four times
+    # the default cap; Lanczos runs on the matrix-free product directly, as
+    # the dense fallback would need a 4 GB matrix.
+    x, y = chained_bell(4)
+    x_lift, y_lift, spectrum = lift(
+        x, y, np.linspace(-1.0, 1.0, 64), np.linspace(1.0, 0.25, 64), seed=11
+    )
+    lifted = TensorSumInstance(x_lift, y_lift, np.ones(8))
+    n = lifted.dim_h * lifted.dim_k
+    assert n == 16384 > DEFAULT_DIM_CAP
+    scale = float(np.sum(np.abs(lifted.weights)))
+    run = lanczos_extremes(_tensor_sum_matvec(lifted), n, scale)
+    tol = LANCZOS_TOL * scale
+    assert run.method == "lanczos" and run.steps < LANCZOS_MAX_STEPS and run.residual <= tol
+    assert run.lambda_min == pytest.approx(spectrum[0], rel=0, abs=tol)
+    assert run.lambda_max == pytest.approx(spectrum[-1], rel=0, abs=tol)
