@@ -21,7 +21,6 @@ from .bounds import (
     exact_reference,
     extreme_spectrum,
     phi_table,
-    require_domination,
 )
 from .certificates import (
     CertificateReport,
@@ -89,7 +88,6 @@ __all__ = [
     "phi_table",
     "random_graph_min_degree_one",
     "random_operator",
-    "require_domination",
     "run_sweep",
     "save_instance",
     "star_graph",

@@ -50,17 +50,6 @@ DOM_TOL = 1e-12
 LANCZOS_MIN_DIM = 256
 
 
-class DominationError(ValueError):
-    """Edge domination fails, so the graph-restricted bound is not proven.
-
-    Carries the full DominationReport as ``report``.
-    """
-
-    def __init__(self, message: str, report: "DominationReport"):
-        super().__init__(message)
-        self.report = report
-
-
 def as_weights(weights, m: int | None = None) -> np.ndarray:
     """``m`` weights (any nonempty number when None) as finite floats with 4 m
     (sum |c_i|)^2 finite, which bounds every value computed from them."""
@@ -148,11 +137,14 @@ class TensorSumInstance:
 class PhiTable:
     """Symmetric (m, m) table of the pairwise interaction magnitudes phi_ij,
     0-based, with a zero diagonal: ``values[i - 1, j - 1]`` is phi for the
-    1-based pair (i, j).
+    1-based pair (i, j). ``m`` is read from the table's shape.
     """
 
-    m: int
     values: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[0]
 
 
 def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
@@ -208,7 +200,7 @@ def phi_table(inst: TensorSumInstance) -> PhiTable:
     comm_y, anti_y = _pair_norms(inst.y, *np.nonzero(upper))
     table = np.zeros((m, m))
     table[upper] = 0.5 * (comm_x * comm_y + anti_x * anti_y)
-    return PhiTable(m=m, values=table + table.T)
+    return PhiTable(table + table.T)
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -243,6 +235,22 @@ class DominationReport:
 
     def __post_init__(self):
         object.__setattr__(self, "satisfied", not self.violations)
+
+
+class DominationError(ValueError):
+    """Edge domination fails, so the graph-restricted bound is not proven.
+
+    Carries the failing DominationReport as ``report``; the message names
+    how many non-edges violate and the worst of them (least slack).
+    """
+
+    def __init__(self, report: DominationReport):
+        worst = min(report.violations, key=lambda c: c.slack)
+        super().__init__(
+            f"edge domination fails at {len(report.violations)} non-edge(s); "
+            f"worst at pair {worst.pair}: lhs {worst.lhs:.12g} > rhs {worst.rhs:.12g}"
+        )
+        self.report = report
 
 
 def check_domination(
@@ -289,20 +297,6 @@ def check_domination(
     )
     violations = tuple(c for c, bad in zip(checks, violated) if bad)
     return DominationReport(weighted=weighted, checks=checks, violations=violations)
-
-
-def require_domination(inst: TensorSumInstance, g: InteractionGraph) -> DominationReport:
-    """Run the weighted edge-domination check, raising DominationError
-    (with the full report attached) when it fails."""
-    report = check_domination(inst, g, weighted=True)
-    if not report.satisfied:
-        worst = min(report.violations, key=lambda c: c.slack)
-        raise DominationError(
-            f"edge domination fails at {len(report.violations)} non-edge(s); "
-            f"worst at pair {worst.pair}: lhs {worst.lhs:.12g} > rhs {worst.rhs:.12g}",
-            report,
-        )
-    return report
 
 
 def exact_reference(

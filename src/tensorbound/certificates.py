@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .bounds import TensorSumInstance, _upper, require_domination
+from .bounds import DominationError, TensorSumInstance, _upper, check_domination
 from .bounds import as_weights as _as_weights  # the weights rule TensorSumInstance applies
 from .graphs import InteractionGraph, graph_constant
 
@@ -140,7 +140,8 @@ def build_certificate_report(
     edge domination verified against ``instance`` or asserted by the
     caller), the edges are counted by the same rule with target
     excess/C(G) and caps 4|c_i c_j| over the edges, since the graph
-    bound is stated in phi and phi_ij <= 4. Every threshold,
+    bound is stated in phi and phi_ij <= 4. A graph that fails domination
+    against ``instance`` raises DominationError. Every threshold,
     ``phi_threshold`` and ``c_max`` must be positive and finite.
     """
     if (weights is None) == (instance is None):
@@ -162,7 +163,9 @@ def build_certificate_report(
     aggregate_edges = c_of_g = domination = None
     if g is not None:
         if instance is not None:
-            require_domination(instance, g)
+            report = check_domination(instance, g)
+            if not report.satisfied:
+                raise DominationError(report)
             domination = DOMINATION_VERIFIED
         else:
             if g.m != w.size:

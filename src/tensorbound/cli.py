@@ -48,8 +48,6 @@ EXIT_SWEEP_VIOLATION = 4
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)

@@ -36,7 +36,6 @@ from tensorbound import (
     pauli,
     random_graph_min_degree_one,
     random_operator,
-    require_domination,
     run_sweep,
     star_graph,
 )
@@ -111,7 +110,7 @@ def test_criterion_05_counterexample_regression():
     assert report.baseline_bound == pytest.approx(5.0, abs=1e-12)
 
     with pytest.raises(DominationError) as excinfo:
-        require_domination(inst, graph)
+        build_certificate_report(2.0, instance=inst, g=graph)
     (violation,) = excinfo.value.report.violations
     assert violation.pair == (1, 3)
     assert violation.lhs == pytest.approx(2.0, abs=1e-12)

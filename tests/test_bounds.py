@@ -24,6 +24,7 @@ from tensorbound import (
     DominationError,
     DominationReport,
     TensorSumInstance,
+    build_certificate_report,
     chain_graph,
     check_domination,
     clifford_generators,
@@ -33,7 +34,6 @@ from tensorbound import (
     pauli,
     phi_table,
     random_operator,
-    require_domination,
 )
 from tensorbound import bounds, linalg
 from tensorbound.bounds import DOM_TOL, build_report, exceeded_bounds
@@ -53,7 +53,7 @@ def test_exports_resolve_and_are_sorted():
 
     assert [n for n in tensorbound.__all__ if not hasattr(tensorbound, n)] == []
     assert tensorbound.__all__ == sorted(set(tensorbound.__all__))
-    assert len(tensorbound.__all__) == 37
+    assert len(tensorbound.__all__) == 36
     # library-only names removed from the public API; tests compute the identities in oracles.py.
     # Every refusal is a ValueError, and validate and spectral_norm take checked stacks only.
     removed = (
@@ -66,6 +66,7 @@ def test_exports_resolve_and_are_sorted():
         "chsh_identity_residual",
         "commutator",
         "cycle_graph",
+        "require_domination",
         "spectral_norm",
         "two_term_sharpness",
         "validate",
@@ -745,7 +746,10 @@ class TestSparseBound:
     def test_counterexample_raises_with_report(self):
         inst, graph = counterexample_instance()
         with pytest.raises(DominationError) as excinfo:
-            require_domination(inst, graph)
+            build_certificate_report(2.0, instance=inst, g=graph)
+        assert str(excinfo.value) == (
+            "edge domination fails at 1 non-edge(s); worst at pair (1, 3): lhs 2 > rhs 0"
+        )
         report = excinfo.value.report
         assert not report.satisfied
         assert report.violations[0].pair == (1, 3)

@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import brute_phi_breakdown, count_pairs_at_least
 from tensorbound import (
+    InteractionGraph,
     TensorSumInstance,
     bounds,
     cli,
@@ -26,6 +28,7 @@ from tensorbound import (
 from tensorbound.demos import build_demo
 from test_bounds import no_phi, small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
+from test_render import RENDER_DIR
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -109,7 +112,20 @@ class TestBound:
         assert proc.returncode == 1
         assert "VIOLATED" in proc.stdout
         assert "non-edge (1,3): lhs 2  rhs 0" in proc.stdout
-        assert "edge domination fails" in proc.stderr
+        assert proc.stderr == "error: edge domination fails, graph-restricted bound not proven\n"
+
+    def test_isolated_vertex_with_domination_exits_one(self, tmp_path):
+        # (1,3) and (2,3) have phi 0 against the zero operator, so domination
+        # holds, but vertex 3 has no edge and C(G) is undefined
+        ops = [pauli("z"), pauli("x"), np.zeros((2, 2))]
+        path = tmp_path / "isolated.json"
+        save_instance(path, TensorSumInstance(ops, ops), InteractionGraph(3, [(1, 2)]))
+        proc = run_cli("bound", str(path))
+        assert proc.returncode == 1
+        assert "edge domination (weighted): satisfied" in proc.stdout
+        assert proc.stderr == (
+            "error: graph has an isolated vertex, connectivity factor undefined\n"
+        )
 
     def test_counterexample_no_graph_passes(self, demo_dir):
         proc = run_cli("bound", str(demo_dir / "counterexample.json"), "--no-graph")
@@ -218,7 +234,7 @@ class TestBoundSelfCheck:
         payload = json.loads(proc.stdout)
         assert payload["sparse_bound"] is None
         assert [c["pair"] for c in payload["domination"]["violations"]] == [[1, 4]]
-        assert "edge domination fails" in proc.stderr
+        assert proc.stderr == "error: edge domination fails, graph-restricted bound not proven\n"
         proc = run_cli("check-domination", str(path))
         assert proc.returncode == 1
         assert "non-edge (1,4)" in proc.stdout
@@ -433,6 +449,16 @@ class TestCertify:
             ).returncode
             == 2
         )
+        for args, message in (
+            (("--weights", "1,1"), "error: --beta is required with --weights\n"),
+            (
+                ("--weights", "1,a", "--beta", "2"),
+                "error: argument --weights: cannot parse weights from '1,a'\n",
+            ),
+        ):
+            proc = run_cli("certify", *args)
+            assert proc.returncode == 2
+            assert proc.stderr.endswith(message)
 
     def test_weights_with_graph_is_asserted(self, tmp_path):
         graph_file = tmp_path / "g.json"
@@ -472,11 +498,16 @@ class TestCertify:
             assert "not allowed with argument" in proc.stderr
 
     def test_instance_with_violating_graph_exits_one(self, demo_dir):
-        proc = run_cli(
-            "certify", str(demo_dir / "counterexample.json"), "--beta", "2"
-        )
-        assert proc.returncode == 1
-        assert "edge domination fails" in proc.stderr
+        # the report's text on stdout, its worst violation on stderr, whatever beta is
+        stdout = (RENDER_DIR / "counterexample.certify.txt").read_text(encoding="utf-8")
+        for beta in ((), ("--beta", "2")):
+            proc = run_cli("certify", str(demo_dir / "counterexample.json"), *beta)
+            assert proc.returncode == 1
+            assert proc.stdout == stdout
+            assert proc.stderr == (
+                "error: edge domination fails at 1 non-edge(s); "
+                "worst at pair (1, 3): lhs 2 > rhs 0\n"
+            )
 
 
 class TestOutsideNumbers:
@@ -579,6 +610,18 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 12
         assert all(int(r["violations"]) == 0 for r in rows)
+
+    def test_text_leaves_a_missing_ratio_blank(self):
+        # one trial that fails domination: no sparse ratio, printed as padding only
+        proc = run_cli("sweep", "--trials", "1", "--seed", "0")
+        assert proc.returncode == 0
+        assert "domination_satisfied_trials: 0" in proc.stdout.splitlines()
+        assert "max_sparse_ratio:            " in proc.stdout.splitlines()
+
+    def test_max_m_below_two_exits_one(self):
+        proc = run_cli("sweep", "--trials", "2", "--max-m", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: max_m must be at least 2\n"
 
     def test_bad_kind_exits_one(self):
         proc = run_cli("sweep", "--trials", "2", "--kinds", "haar")

@@ -290,6 +290,8 @@ STREAM_CASES = {
     "x0-zero": chsh_with_x0(0),
     "x0-string": chsh_with_x0("ab"),
     "x0-two-rows-of-three-pairs": chsh_with_x0([[[1.0, 0.0]] * 3] * 2),
+    "x-empty": chsh_text(x=[]),
+    "missing-colon": '{"z" 10, ' + CHSH[1:],
     "y-before-a-later-dim_k": json.dumps(
         {k: v for k, v in chsh_dict().items() if k != "dim_k"} | {"dim_k": 2}
     ),
@@ -332,6 +334,8 @@ class TestStreamingReader:
             ("top-level-array", "instance file must hold a JSON object"),
             ("nan-entry", "x[0][0][0]: entries must be finite"),
             ("past-the-digit-limit", "not valid JSON: Exceeds the limit (4300 digits)"),
+            ("x-empty", "x must be a nonempty array of matrices"),
+            ("missing-colon", "not valid JSON: Expecting ':' delimiter"),
         ],
     )
     def test_refusals_pinned(self, case, message, tmp_path):

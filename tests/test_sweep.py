@@ -110,6 +110,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="trials"):
             SweepConfig(trials=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
+            ({"seed": 2**64}, "seed must be an unsigned 64-bit integer"),
+            ({"max_m": 1}, "max_m must be at least 2"),
+            ({"max_dim": 0}, "max_dim must be positive"),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**{"trials": 1, "seed": 0, **changes})
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
     def test_rejects_non_finite_or_negative_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
