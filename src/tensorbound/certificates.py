@@ -19,9 +19,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .bounds import DominationError, TensorSumInstance, _upper, check_domination
+from .bounds import DominationError, TensorSumInstance, _upper, check_domination, extreme_spectrum
 from .bounds import as_weights as _as_weights  # the weights rule TensorSumInstance applies
 from .graphs import InteractionGraph, graph_constant
+from .linalg import DEFAULT_DIM_CAP
 
 # Where the counting rule may meet the excess with equality, it does so with
 # this much slack relative to beta^2 + (sum |c_i|)^2, the size of the terms
@@ -76,8 +77,8 @@ class CountingBound:
 
 @dataclass(frozen=True)
 class PhiThresholdBound:
-    """Counting certificate restated for the unweighted magnitudes: given
-    |c_i| <= c_max, pairs with phi_ij >= phi_threshold are counted by
+    """Counting certificate restated for the unweighted magnitudes: with
+    c_max = max |c_i|, pairs with phi_ij >= phi_threshold are counted by
     applying the weighted count at effective_threshold = c_max^2 * phi_threshold.
     """
 
@@ -115,19 +116,19 @@ class CertificateReport:
 
 
 def build_certificate_report(
-    beta: float,
+    beta: float | None = None,
     *,
     weights=None,
     instance: TensorSumInstance | None = None,
     g: InteractionGraph | None = None,
     thresholds=(),
     phi_threshold: float | None = None,
-    c_max: float | None = None,
-    beta_source: str = "supplied",
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> CertificateReport:
-    """Certify from one observed value ``beta``: the aggregates, one
+    """Certify from one observed value ``beta`` (by default ``instance``'s
+    lambda_max, computed up to ``dim_cap``): the aggregates, one
     ``CountingBound`` per threshold, and, with ``phi_threshold``, the
-    bounded-coefficient variant (which needs ``c_max``).
+    bounded-coefficient variant at c_max = max |c_i|.
 
     Counting: write X_i = x_i (x) y_i. Then B^2 = sum c_i^2 X_i^2 +
     sum_{i<j} c_i c_j {X_i, X_j}, and ||{X_i, X_j}|| <= min(2, phi_ij).
@@ -142,12 +143,19 @@ def build_certificate_report(
     excess/C(G) and caps 4|c_i c_j| over the edges, since the graph
     bound is stated in phi and phi_ij <= 4. A graph that fails domination
     against ``instance`` raises DominationError. Every threshold,
-    ``phi_threshold`` and ``c_max`` must be positive and finite.
+    ``phi_threshold`` and c_max^2 * phi_threshold must be positive and
+    finite; the least c_max that |c_i| <= c_max allows is the strongest.
     """
     if (weights is None) == (instance is None):
         raise ValueError("provide exactly one of weights or instance")
     thresholds = tuple(thresholds)  # any iterable; truth of a numpy array raises
     w = instance.weights if instance is not None else _as_weights(weights)
+    beta_source = "supplied"
+    if beta is None:
+        if instance is None:
+            raise ValueError("beta is required with weights")
+        beta = extreme_spectrum(instance, dim_cap=dim_cap).lambda_max
+        beta_source = "computed"
 
     beta = float(beta)
     if not math.isfinite(beta):
@@ -198,21 +206,17 @@ def build_certificate_report(
 
     variant = None
     if phi_threshold is not None:
-        if c_max is None:
-            raise ValueError("phi_threshold requires c_max")
+        phi_threshold = float(phi_threshold)
         require_positive_finite("phi threshold", phi_threshold)
-        require_positive_finite("c_max", c_max)
-        too_big = np.flatnonzero(a > c_max)
-        if too_big.size:
+        c_max = float(np.max(a))
+        t = c_max * c_max * phi_threshold  # float * gives 0 or inf, ** raises
+        if not 0 < t < math.inf:
             raise ValueError(
-                f"|c| exceeds c_max = {c_max:.12g} at index "
-                f"{too_big[0] + 1} (|c| = {a[too_big[0]]:.12g})"
+                f"effective threshold c_max^2 * phi_threshold = {t:.12g} is not "
+                f"positive and finite (c_max = max |c_i| = {c_max:.12g})"
             )
-        if not math.isfinite(c_max * c_max * phi_threshold):
-            raise ValueError("effective threshold c_max^2 * phi_threshold overflows")
         # PhiThresholdBound's fields after c_max are CountingBound's, in order.
-        effective = count(c_max ** 2 * phi_threshold)
-        variant = PhiThresholdBound(float(phi_threshold), float(c_max), *astuple(effective))
+        variant = PhiThresholdBound(phi_threshold, c_max, *astuple(count(t)))
 
     return CertificateReport(
         beta=beta,

@@ -30,7 +30,6 @@ from .bounds import (
     check_domination,
     exact_reference,
     exceeded_bounds,
-    extreme_spectrum,
 )
 from .certificates import CertificateReport, build_certificate_report
 from .demos import DEMO_NAMES, PARAMETRIC, build_demo, default_filename
@@ -302,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="weighted-mass threshold for pair counting (repeatable)" + neg,
     )
     p_cert.add_argument("--phi-threshold", type=float, help="threshold on plain phi values" + neg)
-    p_cert.add_argument(
-        "--c-max", type=float, help="certified bound on |c_i|, required with --phi-threshold" + neg
-    )
     add_graph_opts(p_cert)
     add_output(p_cert)
 
@@ -390,8 +386,6 @@ def cmd_check_domination(args, parser) -> int:
 def cmd_certify(args, parser) -> int:
     if (args.instance is None) == (args.weights is None):
         parser.error("provide exactly one of an instance file or --weights")
-    if args.phi_threshold is not None and args.c_max is None:
-        parser.error("--phi-threshold requires --c-max")
 
     inst = None
     if args.instance is not None:
@@ -401,22 +395,15 @@ def cmd_certify(args, parser) -> int:
         if args.beta is None:
             parser.error("--beta is required with --weights")
         graph = _resolve_graph(args, None, len(args.weights))
-    if args.beta is None:
-        beta = extreme_spectrum(inst, dim_cap=args.dim_cap).lambda_max
-        beta_source = "computed"
-    else:
-        beta = args.beta
-        beta_source = "supplied"
 
     report = build_certificate_report(
-        beta,
-        weights=args.weights if inst is None else None,
+        args.beta,
+        weights=args.weights,
         instance=inst,
         g=graph,
         thresholds=args.threshold,
         phi_threshold=args.phi_threshold,
-        c_max=args.c_max,
-        beta_source=beta_source,
+        dim_cap=args.dim_cap,
     )
     _print_report(args.output, report, certificate_text, asdict)
     return EXIT_OK

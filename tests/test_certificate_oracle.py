@@ -18,6 +18,10 @@ in all three sweeps: one float above its one term, the excess lies about
 4 ulps above that term, and the edge count is 1 where the truth is 0.
 Whether the true term reaches t is below double-precision resolution
 there.
+
+The phi-threshold variant (c_max = max |c_i|) is checked on the same
+trials at every distinct positive phi_ij and the next float above each,
+against the oracle's count of pairs (edges) with plain phi >= t' - 1e-9.
 """
 
 from dataclasses import dataclass, replace
@@ -53,6 +57,8 @@ GATE_SWEEPS = {
 
 # Thresholds per sweep: 2 per distinct positive term, plus 1 per trial.
 THRESHOLDS = {"seed-42": 5506, "complete": 5506, "m9-d5": 15570}
+# Phi thresholds per sweep: 2 per distinct positive phi.
+PHI_THRESHOLDS = {"seed-42": 4974, "complete": 4974, "m9-d5": 14892}
 
 
 @dataclass(frozen=True)
@@ -76,30 +82,44 @@ def rebuilt_instance(config, index):
 
 
 def trial_counts(config, index):
+    """Trial ``index``'s counts, as ``instance_counts`` gives them."""
     inst, graph = rebuilt_instance(config, index)
     return instance_counts(inst, graph, index)
 
 
 def instance_counts(inst, graph, index):
     """Counts at beta = the exact lambda_max, with ``graph`` when edge
-    domination holds, beside the oracle's; ``index`` labels them."""
+    domination holds, beside the oracle's; ``index`` labels them. Returns
+    the counts at the term thresholds, then the phi-threshold variant's."""
     w = inst.weights
     brute = brute_phi_breakdown(inst.x, inst.y)
     terms = sorted({abs(float(w[i]) * float(w[j])) * phi for (i, j), phi in brute.items()} - {0.0})
-    if not terms:
-        return []
-    thresholds = [*terms, *np.nextafter(terms, np.inf).tolist(), 2.0 * terms[-1]]
+    phis = sorted(set(brute.values()) - {0.0})
+    if not phis:
+        return [], []
     edge_graph = graph if check_domination(inst, graph).satisfied else None
     beta = exact_reference(inst).lambda_max
-    report = build_certificate_report(beta, weights=w, g=edge_graph, thresholds=thresholds)
-    counts = []
-    for t, bound in zip(thresholds, report.counting):
+
+    def oracle(t, weights, bound):
         true_edges = None
         if edge_graph is not None:
-            true_edges = count_edges_at_least(brute, w, edge_graph.edges, t - SLACK)
-        true_pairs = count_pairs_at_least(brute, w, t - SLACK)
-        counts.append(Count(index, t, bound.pairs, true_pairs, bound.edges, true_edges))
-    return counts
+            true_edges = count_edges_at_least(brute, weights, edge_graph.edges, t - SLACK)
+        true_pairs = count_pairs_at_least(brute, weights, t - SLACK)
+        return Count(index, t, bound.pairs, true_pairs, bound.edges, true_edges)
+
+    counts = []
+    if terms:
+        thresholds = [*terms, *np.nextafter(terms, np.inf).tolist(), 2.0 * terms[-1]]
+        report = build_certificate_report(beta, weights=w, g=edge_graph, thresholds=thresholds)
+        counts = [oracle(t, w, bound) for t, bound in zip(thresholds, report.counting)]
+    unit = np.ones(inst.m)
+    variants = [
+        oracle(t, unit, build_certificate_report(
+            beta, weights=w, g=edge_graph, phi_threshold=t
+        ).phi_threshold_variant)
+        for t in [*phis, *np.nextafter(phis, np.inf).tolist()]
+    ]
+    return counts, variants
 
 
 def overcounts(counts):
@@ -114,12 +134,16 @@ def overcounts(counts):
 @pytest.fixture(scope="module", params=sorted(GATE_SWEEPS))
 def sweep(request):
     config = GATE_SWEEPS[request.param]
-    counts = [c for i in range(config.trials) for c in trial_counts(config, i)]
-    return request.param, counts
+    counts, variants = [], []
+    for i in range(config.trials):
+        trial, trial_variants = trial_counts(config, i)
+        counts += trial
+        variants += trial_variants
+    return request.param, counts, variants
 
 
 def test_no_count_exceeds_the_oracle(sweep):
-    name, counts = sweep
+    name, counts, _ = sweep
     assert len(counts) == THRESHOLDS[name]
     assert any(c.edges is not None for c in counts)
     bad = overcounts(counts)
@@ -128,13 +152,22 @@ def test_no_count_exceeds_the_oracle(sweep):
 
 @pytest.mark.parametrize("field", ["pairs", "edges"])
 def test_a_count_raised_by_one_fails_the_oracle(sweep, field):
-    _, counts = sweep
+    _, counts, _ = sweep
     for c in counts:
         if getattr(c, field) is None:
             continue
         if overcounts([replace(c, **{field: getattr(c, field) + 1})]):
             return
     pytest.fail(f"no {field} count is tight, so a raised one would pass")
+
+
+def test_no_variant_count_exceeds_the_oracle(sweep):
+    name, _, variants = sweep
+    assert len(variants) == PHI_THRESHOLDS[name]
+    assert any(c.pairs > 0 for c in variants)
+    assert any(c.edges is not None for c in variants)
+    bad = overcounts(variants)
+    assert not bad, f"{len(bad)} variant counts above the oracle, first {bad[:3]}"
 
 
 @pytest.mark.parametrize("name", sorted(GATE_SWEEPS))
@@ -156,7 +189,7 @@ def test_chained_bell_counts_stay_within_the_oracle(settings):
     m = 2 * settings
     inst = TensorSumInstance(*chained_bell(settings))
     cycle = InteractionGraph(m, [(k, k % m + 1) for k in range(1, m + 1)])
-    counts = instance_counts(inst, cycle, settings)
-    bad = overcounts(counts)
+    counts, variants = instance_counts(inst, cycle, settings)
+    bad = overcounts(counts + variants)
     assert not bad, f"{len(bad)} counts above the oracle, first {bad[:3]}"
     assert any(c.pairs > 0 for c in counts)

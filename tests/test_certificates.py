@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -19,6 +20,7 @@ from tensorbound import (
     clifford_generators,
     complete_graph,
     exact_reference,
+    extreme_spectrum,
     pauli,
     star_graph,
 )
@@ -51,9 +53,9 @@ def report_count(beta, weights, t, g=None):
     return bound
 
 
-def report_variant(beta, weights, t_prime, c_max, g=None):
+def report_variant(beta, weights, t_prime, g=None):
     return build_certificate_report(
-        beta, weights=weights, g=g, phi_threshold=t_prime, c_max=c_max
+        beta, weights=weights, g=g, phi_threshold=t_prime
     ).phi_threshold_variant
 
 
@@ -222,7 +224,7 @@ class TestPhiThreshold:
     def test_chsh_counts_two_pairs(self):
         inst = chsh_instance()
         beta = 2 * math.sqrt(2)
-        bound = report_variant(beta, inst.weights, 2.0, 1.0)
+        bound = report_variant(beta, inst.weights, 2.0)
         brute = brute_phi_breakdown(inst.x, inst.y)
         actual = sum(1 for phi in brute.values() if phi >= 2.0 - 1e-12)
         assert actual == 2
@@ -236,36 +238,63 @@ class TestPhiThreshold:
         assert sum(1 for phi in witness_phi.values() if phi >= 2.0) == 0
 
     def test_huge_c_max_degenerates(self):
-        # the effective threshold grows with c_max^2, driving the raw ratio
+        # a loose hypothesis |c_i| <= 100 would count at 100^2 * 2: the
+        # effective threshold grows with c_max^2, driving the raw ratio
         # toward zero; no pair is forced, as four scalar terms with
-        # a = 0.99 reach beta with every phi = 1.921 < 2
+        # a = 0.99 reach beta with every phi = 1.921 < 2. The derived
+        # c_max = max |c_i| = 1 counts at least as many.
         beta = 2 * math.sqrt(2)
-        bound = report_variant(beta, [1, 1, 1, 1], 2.0, 100.0)
+        bound = report_count(beta, [1, 1, 1, 1], 100.0 ** 2 * 2.0)
         assert bound.pairs_raw == pytest.approx(4.0 / 20000.0, rel=1e-12)
         assert bound.pairs == 0
+        assert report_variant(beta, [1, 1, 1, 1], 2.0).pairs >= bound.pairs
         witness = scalar_instance(4, 0.99)
         assert oracle_norm(witness) >= beta
         witness_phi = brute_phi_breakdown(witness.x, witness.y)
         assert sum(1 for phi in witness_phi.values() if phi >= 2.0) == 0
-        tiny = report_variant(1.0, [1, 1], 2.0, 100.0)
+        tiny = report_count(1.0, [1, 1], 100.0 ** 2 * 2.0)
         assert tiny.pairs == 0  # no excess at all
 
     def test_trivial_when_beta_small(self):
-        assert report_variant(1.0, [1, 1], 1.0, 1.0).pairs == 0
-
-    def test_rejects_oversized_weights(self):
-        with pytest.raises(ValueError, match="c_max"):
-            report_variant(2.0, [1.0, 1.5], 1.0, 1.0)
+        assert report_variant(1.0, [1, 1], 1.0).pairs == 0
 
     def test_rejects_nan_phi_threshold_and_c_max(self):
         with pytest.raises(ValueError, match="phi threshold must be positive and finite, got nan"):
-            report_variant(2.5, [1, 1, 1], math.nan, 1.0)
-        with pytest.raises(ValueError, match="c_max must be positive and finite, got nan"):
-            report_variant(2.5, [1, 1, 1], 0.5, math.nan)
+            report_variant(2.5, [1, 1, 1], math.nan)
+        # c_max = max |c_i| is NaN only for a NaN weight, which the weights rule refuses
+        with pytest.raises(ValueError, match="weights must be finite reals"):
+            report_variant(2.5, [1, math.nan, 1], 0.5)
 
     def test_effective_threshold(self):
-        bound = report_variant(3.0, [0.5, 0.5, 0.5], 1.0, 0.5)
+        bound = report_variant(3.0, [0.5, -0.5, 0.25], 1.0)
+        assert bound.c_max == 0.5
         assert bound.effective_threshold == pytest.approx(0.25)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(min_value=-2.0, max_value=2.0).filter(lambda c: c == 0.0 or abs(c) >= 0.01),
+            min_size=2, max_size=6,
+        ),
+        beta_fraction=st.floats(min_value=0.0, max_value=1.2),
+        t_prime=st.floats(min_value=0.01, max_value=4.0),
+        loosen=st.floats(min_value=0.0, max_value=3.0),
+        complete=st.booleans(),
+    )
+    def test_derived_c_max_is_the_strongest(self, weights, beta_fraction, t_prime, loosen, complete):
+        # any c >= max |c_i| satisfies the hypothesis; counting at c^2 t'
+        # never certifies more than the derived c_max = max |c_i| does
+        w = np.array(weights)
+        c_max = float(np.max(np.abs(w)))
+        assume(c_max > 0.0)
+        graph = complete_graph(w.size) if complete else star_graph(w.size)
+        beta = beta_fraction * float(np.sum(np.abs(w)))
+        variant = report_variant(beta, w, t_prime, graph)
+        assert variant.c_max == c_max
+        c = c_max * (1.0 + loosen)
+        looser = report_count(beta, w, c * c * t_prime, graph)
+        assert variant.pairs >= looser.pairs
+        assert variant.edges >= looser.edges
 
 
 class TestOverflow:
@@ -281,16 +310,31 @@ class TestOverflow:
         with pytest.raises(ValueError, match="beta\\^2 \\+ \\(sum \\|c_i\\|\\)\\^2 overflows"):
             build_certificate_report(root * 0.999999, weights=[root / 8, root / 8])
 
-    @pytest.mark.parametrize("c_max, phi_threshold", [(1e200, 1.0), (1e5, 1e300)])
-    def test_effective_threshold_that_overflows(self, c_max, phi_threshold):
-        with pytest.raises(ValueError, match="effective threshold c_max\\^2 \\* phi_threshold overflows"):
-            report_variant(2.0, [1, 1], phi_threshold, c_max)
+    # c is every |c_i|, so c_max = c
+    @pytest.mark.parametrize("c, phi_threshold", [(1e5, 1e300)])
+    def test_effective_threshold_that_overflows(self, c, phi_threshold):
+        with pytest.raises(
+            ValueError,
+            match=r"effective threshold c_max\^2 \* phi_threshold = inf is not positive and finite "
+            r"\(c_max = max \|c_i\| = 100000\)",
+        ):
+            report_variant(2.0, [c, c], phi_threshold)
 
-    @pytest.mark.parametrize("c_max, phi_threshold", [(math.inf, 1.0), (1.0, math.inf)])
-    def test_infinite_variant_input_certifies_nothing(self, c_max, phi_threshold):
+    @pytest.mark.parametrize("c", [0.0, 1e-200], ids=["zero-weights", "square-underflows"])
+    def test_effective_threshold_that_vanishes(self, c):
+        # c_max^2 * phi_threshold is 0, not an overflow: refused by name all the same
+        with pytest.raises(ValueError) as excinfo:
+            report_variant(2.0, [c, -c], 1.0)
+        assert str(excinfo.value) == (
+            "effective threshold c_max^2 * phi_threshold = 0 is not positive and finite "
+            f"(c_max = max |c_i| = {c:.12g})"
+        )
+
+    @pytest.mark.parametrize("c, phi_threshold", [(1.0, math.inf)])
+    def test_infinite_variant_input_certifies_nothing(self, c, phi_threshold):
         # an infinite input is refused by name, so no report holds an inf
         with pytest.raises(ValueError, match="must be positive and finite, got inf"):
-            report_variant(2.0, [1, 1], phi_threshold, c_max)
+            report_variant(2.0, [c, c], phi_threshold)
 
     def test_weights_whose_bounds_overflow(self):
         with pytest.raises(ValueError, match="weights too large"):
@@ -301,9 +345,7 @@ class TestReportBuilder:
     def test_heisenberg_with_thresholds(self):
         ops = [pauli("x"), pauli("y"), pauli("z")]
         inst = TensorSumInstance(ops, ops)
-        report = build_certificate_report(
-            3.0, instance=inst, thresholds=(2.0,), beta_source="supplied"
-        )
+        report = build_certificate_report(3.0, instance=inst, thresholds=(2.0,))
         assert report.sum_c_squared == 3.0
         assert report.excess == pytest.approx(6.0, abs=1e-12)
         (counting,) = report.counting
@@ -313,9 +355,19 @@ class TestReportBuilder:
         )
         assert actual == 3
 
-    def test_phi_threshold_requires_c_max(self):
-        with pytest.raises(ValueError, match="c_max"):
-            build_certificate_report(2.0, weights=[1, 1], phi_threshold=1.0)
+    def test_beta_source_names_where_beta_came_from(self):
+        inst = chsh_instance()
+        computed = build_certificate_report(instance=inst, thresholds=(2.0,))
+        assert computed.beta_source == "computed"
+        assert computed.beta == extreme_spectrum(inst).lambda_max  # bitwise
+        supplied = build_certificate_report(computed.beta, instance=inst, thresholds=(2.0,))
+        assert supplied.beta_source == "supplied"
+        assert replace(supplied, beta_source="computed") == computed
+        with pytest.raises(ValueError, match="^beta is required with weights$"):
+            build_certificate_report(weights=[1, 1])
+        # the computed beta honours dim_cap, as build_report's exact values do
+        with pytest.raises(ValueError, match="product dimension 2\\*2 = 4 exceeds the cap 3"):
+            build_certificate_report(instance=inst, dim_cap=3)
 
     def test_weights_and_graph_constant_computed_once(self, monkeypatch):
         calls = {"_as_weights": 0, "graph_constant": 0}
@@ -329,7 +381,7 @@ class TestReportBuilder:
             monkeypatch.setattr(certificates, name, counted)
         report = build_certificate_report(
             3.0, weights=[1, 1, 1, 1], g=star_graph(4), thresholds=(0.5, 1.0, 2.0),
-            phi_threshold=1.0, c_max=1.0,
+            phi_threshold=1.0,
         )
         assert len(report.counting) == 3
         assert report.phi_threshold_variant is not None
@@ -337,7 +389,7 @@ class TestReportBuilder:
 
     @pytest.mark.parametrize(
         "counts, outer_calls",
-        [({}, 0), ({"thresholds": (0.5, 1.0)}, 1), ({"phi_threshold": 1.0, "c_max": 1.0}, 1)],
+        [({}, 0), ({"thresholds": (0.5, 1.0)}, 1), ({"phi_threshold": 1.0}, 1)],
         ids=["no-count", "thresholds", "phi-threshold"],
     )
     def test_caps_built_only_for_counts(self, monkeypatch, counts, outer_calls):
@@ -355,8 +407,8 @@ class TestReportBuilder:
 
 
 class TestScaleInvariance:
-    """Scaling beta, the weights and c_max by s = 2^k scales the excess
-    and every cap by s^2, so with thresholds scaled by s^2 = 4^k every
+    """Scaling beta and the weights (so also the derived c_max) by s = 2^k
+    scales the excess and every cap by s^2, so with thresholds scaled by s^2 = 4^k every
     count stays the same (powers of two keep the arithmetic exact)."""
 
     @settings(max_examples=200, deadline=None)
@@ -385,7 +437,7 @@ class TestScaleInvariance:
             report = build_certificate_report(
                 s * beta, weights=s * w, g=graph,
                 thresholds=[s * s * t for t in thresholds],
-                phi_threshold=phi_threshold, c_max=s * 1.0,
+                phi_threshold=phi_threshold,
             )
             rows = (*report.counting, report.phi_threshold_variant)
             return [(row.pairs, row.edges) for row in rows]

@@ -1,5 +1,6 @@
 """End-to-end CLI tests (subprocess, real exit codes)."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -395,7 +396,6 @@ class TestCertify:
             "--weights", "1,1,1,1",
             "--beta", "2.8284271",
             "--phi-threshold", "2",
-            "--c-max", "1",
             "--output", "json",
         )
         payload = json.loads(proc.stdout)
@@ -415,8 +415,7 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "flags",
-        [("-t", "nan"), ("--phi-threshold", "0.5", "--c-max", "nan"),
-         ("--phi-threshold", "nan", "--c-max", "1")],
+        [("-t", "nan"), ("--phi-threshold", "nan"), ("-t", "0.5", "--phi-threshold", "nan")],
     )
     def test_nan_threshold_exits_one(self, flags):
         proc = run_cli("certify", "--weights", "1,1,1", "--beta", "2.5", *flags)
@@ -443,17 +442,15 @@ class TestCertify:
             ).returncode
             == 2
         )
-        assert (
-            run_cli(
-                "certify", "--weights", "1,1", "--beta", "2", "--phi-threshold", "1"
-            ).returncode
-            == 2
-        )
         for args, message in (
             (("--weights", "1,1"), "error: --beta is required with --weights\n"),
             (
                 ("--weights", "1,a", "--beta", "2"),
                 "error: argument --weights: cannot parse weights from '1,a'\n",
+            ),
+            (
+                ("--weights", "1,1", "--beta", "2", "--phi-threshold", "1", "--c-max", "1"),
+                "error: unrecognized arguments: --c-max\n",  # the optional instance takes the 1
             ),
         ):
             proc = run_cli("certify", *args)
@@ -518,16 +515,18 @@ class TestOutsideNumbers:
         "args",
         [
             ("certify", "--weights", "1,1", "--beta", "1e200"),
-            ("certify", "--weights", "1,1", "--beta", "2", "--phi-threshold", "1", "--c-max", "1e200"),
+            ("certify", "--weights", "1e5,1", "--beta", "2", "--phi-threshold", "1e300"),
             ("certify", "--weights", "1e200,1", "--beta", "2"),
-            ("certify", "--weights", "1,1", "--beta", "2", "--phi-threshold", "1e300",
-             "--c-max", "1e5", "--output", "json"),
+            ("certify", "--weights", "1e5,1e5", "--beta", "2", "--phi-threshold", "1e300",
+             "--output", "json"),
             ("certify", "--weights", "1,1", "--beta", "2", "-t", "1e-320"),
             ("certify", "--weights", "1,1", "--beta", "2", "-t", "inf", "--output", "json"),
             ("bound", "WEIGHTS_FILE"),
             ("certify", "WEIGHTS_FILE"),
             ("certify", "WEIGHTS_FILE", "--beta", "2"),
             ("exact", "WEIGHTS_FILE"),
+            ("certify", "--weights", "0,0", "--beta", "2", "--phi-threshold", "1"),
+            ("certify", "--weights", "1e-200,1e-200", "--beta", "2", "--phi-threshold", "1"),
         ],
     )
     def test_refused_by_name(self, tmp_path, args):
@@ -561,8 +560,7 @@ class TestOutsideNumbers:
 
     @pytest.mark.parametrize(
         "flags",
-        [("-t", "inf"), ("--threshold=-inf",), ("--phi-threshold", "inf", "--c-max", "1"),
-         ("--phi-threshold", "1", "--c-max", "inf")],
+        [("-t", "inf"), ("--threshold=-inf",), ("--phi-threshold", "inf"), ("--phi-threshold=-inf",)],
     )
     def test_formats_agree_on_refused_certificate_input(self, flags):
         args = ("certify", "--weights", "1,1", "--beta", "2", *flags)
@@ -667,6 +665,26 @@ class TestRepeatedMain:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+
+def long_options(parser):
+    return {s for a in parser._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+
+def test_option_inventory():
+    # every knob added or removed shows up here as an edit
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    graph, output = {"--graph", "--no-graph"}, {"--output"}
+    assert long_options(parser) == {"--tol", "--dim-cap"}
+    assert {name: long_options(p) for name, p in commands.items()} == {
+        "bound": graph | output,
+        "exact": output,
+        "check-domination": graph | output | {"--unweighted"},
+        "certify": graph | output | {"--weights", "--beta", "--threshold", "--phi-threshold"},
+        "demo": output | {"--m", "--dir"},
+        "sweep": output | {"--trials", "--seed", "--max-m", "--max-dim", "--kinds", "--graph-mode"},
+    }
 
 
 class TestTolerance:

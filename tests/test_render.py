@@ -75,7 +75,7 @@ CASES = {
     "certify-json": ("certify", ("--output", "json"), "txt"),
     "certify-counts": (
         "certify",
-        ("--beta", "2.5", "-t", "0.5", "-t", "2", "--phi-threshold", "1", "--c-max", "1"),
+        ("--beta", "2.5", "-t", "0.5", "-t", "2", "--phi-threshold", "1"),
         "txt",
     ),
     "complete-check-domination": ("check-domination", COMPLETE_ARGS, "txt"),
