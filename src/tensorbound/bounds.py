@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +49,10 @@ DOM_TOL = 1e-12
 # and Lanczos break even near n=256 (0.6 ms against 3.2 ms at n=64, 82 ms
 # against 26 ms at n=512).
 LANCZOS_MIN_DIM = 256
+
+# From this size on numpy advises huge pages, which would make B_c's
+# unwritten upper triangle resident; exact_reference maps B_c instead (_zeros).
+_MAP_BYTES = 4 << 20
 
 
 def as_weights(weights, m: int | None = None) -> np.ndarray:
@@ -314,13 +319,15 @@ def exact_reference(
     term order, so every entry is bitwise that of the full-size sum. A
     strip reaches only up to its own diagonal block, whose strict upper
     triangle is then zeroed: hermitian_eig reads B_c's lower triangle alone.
-    Peak memory is B_c plus LAPACK's copy, 2 n^2 * 16 bytes.
+    From n = 512 on, B_c lies in a private map (_zeros), so only the pages
+    the strips write become resident, a little over half of B_c. Peak
+    memory is that half plus LAPACK's copy, about 1.5 n^2 * 16 bytes.
     """
     dh, dk = inst.dim_h, inst.dim_k
     check_dim_cap(dh, dk, dim_cap)
     n = dh * dk
     rows = max(1, BATCH_ENTRIES // (dk * n))  # one strip up to n = 256
-    b = np.zeros((n, n), dtype=complex)
+    b = _zeros(n)
     for r in range(0, dh, rows):
         e = min(r + rows, dh)
         strip = b[r * dk : e * dk, : e * dk]
@@ -331,20 +338,40 @@ def exact_reference(
     return hermitian_eig(b)
 
 
+def _zeros(n: int) -> np.ndarray:
+    """An (n, n) complex zero matrix whose pages become resident only when
+    written.
+
+    From _MAP_BYTES on it is a private anonymous map with 4 KiB pages: a
+    read of a page never written maps the kernel's shared zero page, so
+    LAPACK's copy of B_c reads the upper triangle without making it
+    resident. Smaller matrices, and platforms without private maps, take
+    np.zeros, which is cheaper where sweeps run (0.45 against 3.3 us at
+    n = 16 on a 2-core x86 host).
+    """
+    size = 16 * n * n
+    if size < _MAP_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros((n, n), dtype=complex)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=complex).reshape(n, n)
+
+
 def _tensor_sum_matvec(inst: TensorSumInstance):
     """v -> B_c v without forming B_c.
 
     np.kron orders the product basis row-major, so v is the (dim_h, dim_k)
-    matrix V and (x (x) y) v is x V y^T. All terms are summed by one matrix
-    product: the (dim_h, m*dim_k) block row [c_i x_i V] times the stacked
-    y_i^T.
+    matrix V and (x (x) y) v is x V y^T. Two matrix products sum all terms:
+    the stacked c_i x_i times V gives every c_i x_i V at once, and the
+    (dim_h, m*dim_k) block row [c_i x_i V] times the stacked y_i^T sums them.
     """
     dh, dk = inst.dim_h, inst.dim_k
-    xs = inst.weights[:, None, None] * inst.x
+    xcat = (inst.weights[:, None, None] * inst.x).reshape(inst.m * dh, dh)
     ys_t = inst.y.transpose(0, 2, 1).reshape(inst.m * dk, dk)
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        t = xs @ v.reshape(dh, dk)
+        t = (xcat @ v.reshape(dh, dk)).reshape(inst.m, dh, dk)
         return (t.transpose(1, 0, 2).reshape(dh, inst.m * dk) @ ys_t).reshape(-1)
 
     return matvec

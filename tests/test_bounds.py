@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import mmap
+import os
 import tracemalloc
 from collections import Counter
 
@@ -796,20 +798,25 @@ class TestExactReference:
         assert summary.eigenvalues.tobytes() == expected.tobytes()
 
     def test_assembled_matrix_is_the_lower_triangle(self, monkeypatch):
-        # strips of 5 x rows with a short last strip; terms at the
+        # strips of 5 x rows in np.zeros (n = 280), and of 2 x rows in a
+        # private map (n = 540), each with a short last strip; terms at the
         # hermiticity tolerance, so the full sum's diagonal is complex
         seen = []
-        monkeypatch.setattr(bounds, "hermitian_eig", lambda b: seen.append(b.copy()))
+        monkeypatch.setattr(
+            bounds, "hermitian_eig", lambda b: seen.append((b.copy(), not b.flags.owndata))
+        )
         rng = np.random.default_rng(3)
-        weights = rng.uniform(-2, 2, 3)
-        x = [edge_operator(rng, 7) for _ in weights]
-        y = [edge_operator(rng, 40) for _ in weights]
-        exact_reference(TensorSumInstance(x, y, weights))
-        (b,) = seen
-        full = dense_kron_sum(x, y, weights)
-        assert np.any(np.diag(full).imag != 0)
-        assert np.tril(b).tobytes() == np.tril(full).tobytes()
-        assert not np.triu(b, 1).any()
+        for dim_h, dim_k, mapped in [(7, 40, False), (9, 60, True)]:
+            weights = rng.uniform(-2, 2, 3)
+            x = [edge_operator(rng, dim_h) for _ in weights]
+            y = [edge_operator(rng, dim_k) for _ in weights]
+            exact_reference(TensorSumInstance(x, y, weights))
+            b, in_map = seen.pop()
+            assert in_map == (mapped and hasattr(mmap, "MAP_PRIVATE"))
+            full = dense_kron_sum(x, y, weights)
+            assert np.any(np.diag(full).imag != 0)
+            assert np.tril(b).tobytes() == np.tril(full).tobytes()
+            assert not np.triu(b, 1).any()
 
     def test_operators_are_checked_only_by_the_instance(self, monkeypatch):
         # strips of 5 x rows and of one x row; n = 16 takes the dense path
@@ -892,9 +899,10 @@ class TestExactReference:
         assert shapes == [(dim_h, dim_h)] * len(weights)
 
     def test_peak_memory_is_b_plus_small_tiles(self):
-        # B plus strips of at most 2^16 entries (1 MB)
-        # LAPACK's copy of B is allocated inside numpy's eigvalsh, outside
-        # what tracemalloc sees; every other allocation is traced.
+        # strips of 2^16 entries (1 MB): a kron product and its weighted
+        # copy. B (16 MB) is a private map and LAPACK's copy of it is
+        # allocated inside numpy's eigvalsh, both outside what tracemalloc
+        # sees; B is traced only where it falls back to np.zeros.
         inst = dense_instance(6, 32, 32, np.array([1.0, -0.5, 0.25]))
         n = 32 * 32
         tracemalloc.start()
@@ -903,7 +911,51 @@ class TestExactReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 16
+        traced_b = 0 if hasattr(mmap, "MAP_PRIVATE") else n * n * 16
+        assert peak < traced_b + 3 * linalg.BATCH_ENTRIES * 16
+
+    @pytest.mark.skipif(
+        not (os.path.exists("/proc/self/statm") and hasattr(mmap, "MAP_PRIVATE")),
+        reason="needs /proc/self/statm and private maps",
+    )
+    def test_resident_b_is_the_written_half(self, monkeypatch):
+        # only the pages of B's lower staircase become resident, even once
+        # every page is read, as LAPACK's copy reads them: 0.56 of n^2 * 16
+        # bytes at n = 2048, against 1.0 for a huge-page np.zeros or a
+        # shared map
+        held = []
+        monkeypatch.setattr(bounds, "hermitian_eig", lambda b: held.append((b, b.sum())))
+        inst = dense_instance(4, 32, 64, np.array([1.0, -0.5]))
+        n = 32 * 64
+        page = os.sysconf("SC_PAGE_SIZE")
+
+        def resident():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * page
+
+        before = resident()
+        exact_reference(inst)
+        grown = resident() - before
+        assert len(held) == 1
+        assert grown <= 0.7 * n * n * 16
+
+    def test_small_or_unmappable_b_takes_no_map(self, monkeypatch):
+        # a map costs more than np.zeros at sweep sizes, so every B under
+        # 4 MiB (n <= 256 here) takes np.zeros; so does any B where the
+        # platform has no private maps
+        def refuse(*args, **kwargs):
+            raise AssertionError("mapped")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        weights = np.array([0.7, -1.3])
+        for dim_h, dim_k in [(1, 1), (4, 4), (16, 16), (2, 128)]:
+            exact_reference(dense_instance(2, dim_h, dim_k, weights))
+        at_threshold = dense_instance(2, 16, 32, weights)  # n = 512, 4 MiB
+        with pytest.raises(AssertionError, match="mapped"):
+            exact_reference(at_threshold)
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        expected = np.linalg.eigvalsh(dense_kron_sum(at_threshold.x, at_threshold.y, weights))
+        assert exact_reference(at_threshold).eigenvalues.tobytes() == expected.tobytes()
 
     def test_dimension_cap_checked_before_assembly(self):
         inst = dense_instance(7, 32, 32, np.array([1.0, -0.5]))
