@@ -314,25 +314,25 @@ def exact_reference(
     ``eigenvalues`` holds the whole spectrum, ascending.
 
     B_c is filled in horizontal strips of whole x rows: the strip of x rows
-    r:e is sum_i kron(x_i[r:e, :e], y_i) * c_i, each product of at most
-    max(BATCH_ENTRIES, dim_k * n) entries, summed in place from zeros in
-    term order, so every entry is bitwise that of the full-size sum. A
-    strip reaches only up to its own diagonal block, whose strict upper
-    triangle is then zeroed: hermitian_eig reads B_c's lower triangle alone.
-    From n = 512 on, B_c lies in a private map (_zeros), so only the pages
-    the strips write become resident, a little over half of B_c. Peak
-    memory is that half plus LAPACK's copy, about 1.5 n^2 * 16 bytes.
+    r:e is one kron(c x[:, r:e, :e], y), of at most max(BATCH_ENTRIES,
+    dim_k * n) entries, whose sums over i run in BLAS's order. A strip
+    reaches only up to its own diagonal block, whose strict upper triangle
+    is then zeroed: hermitian_eig reads B_c's lower triangle alone, in real
+    arithmetic when B_c is real. From n = 512 on, B_c lies in a private map
+    (_zeros), so only the pages the strips write become resident, a little
+    over half of B_c. Peak memory is that half plus LAPACK's copy, about
+    1.5 n^2 * 16 bytes (1.06 n^2 * 16 for a real B_c, whose copy is float).
     """
     dh, dk = inst.dim_h, inst.dim_k
     check_dim_cap(dh, dk, dim_cap)
     n = dh * dk
     rows = max(1, BATCH_ENTRIES // (dk * n))  # one strip up to n = 256
+    c = inst.weights[:, None, None]
     b = _zeros(n)
     for r in range(0, dh, rows):
         e = min(r + rows, dh)
         strip = b[r * dk : e * dk, : e * dk]
-        for c, xi, yi in zip(inst.weights, inst.x, inst.y):
-            strip += kron(xi[r:e, :e], yi) * c
+        strip[...] = kron(c * inst.x[:, r:e, :e], inst.y)
         block = strip[:, r * dk :]  # the strip's diagonal block
         block[_upper.__wrapped__(len(block))] = 0  # B_c's lower triangle only
     return hermitian_eig(b)

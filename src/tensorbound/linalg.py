@@ -1,6 +1,6 @@
 """Dense complex linear algebra on small operators.
 
-Everything here works on square complex matrices represented as numpy
+Everything here works on complex matrices, or stacks of them, as numpy
 ``complex128`` arrays. All functions are pure: inputs are never mutated
 and there is no module-level mutable state, so values can be shared
 freely between workers.
@@ -8,13 +8,13 @@ freely between workers.
 ``as_operator`` is the one check of an outside matrix, and
 ``bounds.TensorSumInstance`` is its one caller; every other function here
 takes matrices that came through it, or were built from such matrices,
-and checks nothing. The exact path (``kron`` strips of at most
-max(BATCH_ENTRIES, dim_k * n) entries, then ``hermitian_eig``) is
-desk-scale: ``bounds.exact_reference`` caps the product dimension first.
-The bound computations never form the tensor product and are
-dimension-free. ``spectral_norm`` takes stacks of Hermitian matrices
-only, and ``lanczos_extremes`` finds the two extreme eigenvalues of a
-Hermitian operator known only through its action on vectors. Both
+and checks nothing. The exact path (strips of at most max(BATCH_ENTRIES,
+dim_k * n) entries, each one ``kron`` of weighted stacks, then
+``hermitian_eig``, real when B is) is desk-scale: ``bounds.exact_reference``
+caps the product dimension first. The bound computations never form the
+tensor product and are dimension-free. ``kron`` and ``spectral_norm`` take
+stacks only, and ``lanczos_extremes`` finds the two extreme eigenvalues of
+a Hermitian operator known only through its action on vectors. Both
 ``hermitian_eig`` and ``lanczos_extremes`` return an ``ExtremeSpectrum``,
 the one spectrum type.
 """
@@ -66,13 +66,16 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product a (x) b of two complex matrices, unchecked.
-
-    The result has shape (rows(a) rows(b), cols(a) cols(b)) and block structure
-    (a(x)b)[i*db+k, j*db+l] = a[i,j]*b[k,l], the products np.kron forms
-    (without its generic-shape handling).
+    """Tensor sum sum_t a_t (x) b_t of (k, p, q) and (k, r, s) complex
+    stacks, unchecked: the (p r, q s) matrix with entries [i*r+u, j*s+v] =
+    sum_t a[t,i,j] b[t,u,v], in np.kron's order. One matrix product of the
+    flattened stacks gives every entry, its axes then moved into that order
+    (Van Loan's reshaping), so each sum over t runs in BLAS's order.
     """
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    k, p, q = a.shape
+    _, r, s = b.shape
+    t = a.reshape(k, p * q).T @ b.reshape(k, r * s)
+    return t.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
 
 
 def check_dim_cap(dim_a: int, dim_b: int, dim_cap: int) -> None:
@@ -115,12 +118,13 @@ def hermitian_eig(a: np.ndarray) -> ExtremeSpectrum:
     """All eigenvalues, ascending, of the Hermitian matrix whose lower
     triangle is ``a``, as a "dense" ``ExtremeSpectrum``.
 
-    Calls LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``),
-    which reads only the lower triangle and the real part of the diagonal;
-    the strict upper triangle and the diagonal's imaginary part are never
-    read, so nothing is checked there. No eigenvectors are computed.
+    LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``) reads only
+    the lower triangle and the real part of the diagonal, so nothing is
+    checked elsewhere; no eigenvectors are computed. Every imaginary part is
+    read once, to choose the routine: when all are zero, ``a.real`` goes to
+    the real solver (``dsyevd``, a quarter of ``zheevd``'s work).
     """
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(a if a.imag.any() else a.real)
     lo, hi = float(w[0]), float(w[-1])
     return ExtremeSpectrum(lo, hi, max(abs(lo), abs(hi)), "dense", eigenvalues=w)
 

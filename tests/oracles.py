@@ -50,6 +50,32 @@ def dense_kron_sum(x_ops, y_ops, weights) -> np.ndarray:
     return b
 
 
+def kron_sum_eigenvalue_bound(n: int, weights) -> float:
+    """How far two computed spectra of one B = sum_i c_i x_i (x) y_i, on a
+    product space of dimension n with contractions x_i, y_i, may lie apart
+    when each assembles B in its own order and diagonalizes it on its own.
+
+    Assembly: every entry of B is a sum of m = len(weights) terms
+    c_i x_i[a, b] y_i[k, l], each |x_i[a, b]|, |y_i[k, l]| <= 1. Scaling by
+    the real c_i and the complex product take at most 3 roundings per real
+    component (Higham, Lemma 3.5), and any order of the sum m - 1 more
+    (Higham, (3.4)), so the computed entry is within
+    sqrt(2) gamma_{m+2} sum |c_i| of the exact one, with
+    gamma_k = k u / (1 - k u). Two assemblies differ entrywise by twice
+    that, and in 2-norm by at most n times it (the Frobenius norm of an
+    n x n matrix of such entries). By Weyl's inequality each eigenvalue
+    moves by no more than that 2-norm. Solving: each backward-stable
+    solver, real or complex, returns the eigenvalues of B + E with
+    ||E|| <= n u ||B|| and ||B|| <= sum |c_i|, so Weyl adds n u sum |c_i|
+    per solve. In total (4 gamma_{m+2} + 2 u) n sum |c_i|, rounding
+    sqrt(2) up to 2.
+    """
+    u = np.finfo(float).eps / 2
+    k = len(weights) + 2
+    gamma = k * u / (1 - k * u)
+    return (4 * gamma + 2 * u) * n * float(np.sum(np.abs(weights)))
+
+
 def eig2x2_hermitian(a) -> tuple[float, float]:
     """Closed-form eigenvalues (ascending) of a 2x2 Hermitian matrix."""
     a = np.asarray(a, dtype=complex)
@@ -194,21 +220,26 @@ def chained_bell(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return x_ops, y_ops
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-random n x n unitary: Q of the QR of a complex Gaussian matrix,
-    with the phases of R's diagonal moved into it (Mezzadri 2007)."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def haar_unitary(n: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
+    """A Haar-random n x n unitary, or real orthogonal matrix with ``real``:
+    Q of the QR of a complex (real) Gaussian matrix, with the phases (signs)
+    of R's diagonal moved into it (Mezzadri 2007)."""
+    g = rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g if real else g + 1j * rng.standard_normal((n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def lift(x_ops, y_ops, d, e, seed: int) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+def lift(
+    x_ops, y_ops, d, e, seed: int, real: bool = False
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Lift a tensor sum to operators of dimensions len(x_i) len(d) and
     len(y_i) len(e), with a spectrum known in closed form.
 
     With D = diag(d) and E = diag(e), real entries in [-1, 1] and the
     largest magnitude 1 in each, and Haar unitaries U, V drawn from
-    ``seed``, the lifted operators are x_i' = U (x_i (x) D) U* and
+    ``seed`` (real orthogonal ones with ``real``, which keep real x_i and
+    y_i real), the lifted operators are x_i' = U (x_i (x) D) U* and
     y_i' = V (y_i (x) E) V*, each hermitized as (a + a*)/2. Then
     sum c_i x_i' (x) y_i' is unitarily similar to the direct sum over a, b
     of d_a e_b B_c, so its spectrum is {d_a e_b lambda} and its norm that
@@ -220,7 +251,8 @@ def lift(x_ops, y_ops, d, e, seed: int) -> tuple[list[np.ndarray], list[np.ndarr
     """
     rng = np.random.default_rng(seed)
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
-    u, v = haar_unitary(len(x_ops[0]) * len(d), rng), haar_unitary(len(y_ops[0]) * len(e), rng)
+    u = haar_unitary(len(x_ops[0]) * len(d), rng, real)
+    v = haar_unitary(len(y_ops[0]) * len(e), rng, real)
 
     def conjugate(w, a, diag):
         b = w @ np.kron(a, np.diag(diag)) @ w.conj().T

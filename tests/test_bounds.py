@@ -16,6 +16,7 @@ from oracles import (
     chsh_square_residual,
     dense_kron_sum,
     involution_defect,
+    kron_sum_eigenvalue_bound,
     loop_domination,
     sequential_edge_sum,
     sequential_pair_sum,
@@ -119,6 +120,24 @@ def dense_instance(seed, dim_h, dim_k, weights):
     return TensorSumInstance(
         [draw(dim_h) for _ in weights], [draw(dim_k) for _ in weights], weights
     )
+
+
+def dyadic_instance(seed, dim_h, dim_k, weights, skew=0.0):
+    """Hermitian contractions a + a*, with the entries of a in {-1, 0, 1} +
+    i {-1, 0, 1}, divided by the power of two at or above their Frobenius
+    norm; with ``skew``, every x_i also carries skew * i on its diagonal.
+    With weights in quarters, skew = 2^-36 and x dimensions up to 9, every
+    product and partial sum of B's assembly is exact in binary64, so B is
+    the same bitwise in any summation order."""
+    rng = np.random.default_rng(seed)
+
+    def draw(dim):
+        a = rng.integers(-1, 2, (dim, dim)) + 1j * rng.integers(-1, 2, (dim, dim))
+        h = a + a.conj().T
+        return h / 2.0 ** math.ceil(math.log2(max(1.0, np.linalg.norm(h))))
+
+    x = [draw(dim_h) + skew * 1j * np.eye(dim_h) for _ in weights]
+    return TensorSumInstance(x, [draw(dim_k) for _ in weights], weights)
 
 
 class TestInstanceValidation:
@@ -798,22 +817,21 @@ class TestExactReference:
         assert summary.eigenvalues.tobytes() == expected.tobytes()
 
     def test_assembled_matrix_is_the_lower_triangle(self, monkeypatch):
-        # strips of 5 x rows in np.zeros (n = 280), and of 2 x rows in a
-        # private map (n = 540), each with a short last strip; terms at the
-        # hermiticity tolerance, so the full sum's diagonal is complex
+        # one entry; strips of 5 x rows in np.zeros (n = 280), of 2 x rows
+        # in np.zeros (n = 300) and in a private map (n = 540), each with a
+        # short last strip; skew terms, so the full sum's diagonal is
+        # complex; dyadic entries, so every sum is exact in any order
         seen = []
         monkeypatch.setattr(
             bounds, "hermitian_eig", lambda b: seen.append((b.copy(), not b.flags.owndata))
         )
-        rng = np.random.default_rng(3)
-        for dim_h, dim_k, mapped in [(7, 40, False), (9, 60, True)]:
-            weights = rng.uniform(-2, 2, 3)
-            x = [edge_operator(rng, dim_h) for _ in weights]
-            y = [edge_operator(rng, dim_k) for _ in weights]
-            exact_reference(TensorSumInstance(x, y, weights))
+        weights = np.array([0.75, -1.25, 0.5])
+        for dim_h, dim_k, mapped in [(1, 1, False), (7, 40, False), (3, 100, False), (9, 60, True)]:
+            inst = dyadic_instance(dim_h + dim_k, dim_h, dim_k, weights, skew=2.0**-36)
+            exact_reference(inst)
             b, in_map = seen.pop()
             assert in_map == (mapped and hasattr(mmap, "MAP_PRIVATE"))
-            full = dense_kron_sum(x, y, weights)
+            full = dense_kron_sum(inst.x, inst.y, weights)
             assert np.any(np.diag(full).imag != 0)
             assert np.tril(b).tobytes() == np.tril(full).tobytes()
             assert not np.triu(b, 1).any()
@@ -838,15 +856,32 @@ class TestExactReference:
     # one entry; strips of 5 and of 2 x rows, each with a short last strip
     @pytest.mark.parametrize("dim_h, dim_k", [(1, 1), (7, 40), (3, 100)])
     def test_eigenvalues_bitwise_equal_with_skew_terms(self, dim_h, dim_k):
-        # operators at the hermiticity tolerance: eigvalsh reads only the
-        # lower triangle of the full sum, which exact_reference reproduces
+        # B's diagonal is complex, so B reaches the complex solver as the
+        # full sum does; dyadic entries make the two sums the same bitwise
+        weights = np.array([-1.5, 0.25, 1.0])
+        inst = dyadic_instance(dim_h * dim_k, dim_h, dim_k, weights, skew=2.0**-36)
+        expected = np.linalg.eigvalsh(dense_kron_sum(inst.x, inst.y, weights))
+        assert exact_reference(inst).eigenvalues.tobytes() == expected.tobytes()
+
+    # every strip shape above, on random operators, and at the hermiticity
+    # tolerance: the one-product sum is the term-by-term sum up to rounding
+    @pytest.mark.parametrize(
+        "dim_h, dim_k, skew", [(1, 1, True), (7, 40, True), (3, 100, True), (7, 100, False),
+                               (13, 40, False), (2, 257, False), (4, 8, False)]
+    )
+    def test_eigenvalues_within_the_rounding_bound_of_the_full_sum(self, dim_h, dim_k, skew):
         rng = np.random.default_rng(dim_h * dim_k)
-        weights = rng.uniform(-2, 2, 3)
-        x = [edge_operator(rng, dim_h) for _ in weights]
-        y = [edge_operator(rng, dim_k) for _ in weights]
-        expected = np.linalg.eigvalsh(dense_kron_sum(x, y, weights))
-        got = exact_reference(TensorSumInstance(x, y, weights)).eigenvalues
-        assert got.tobytes() == expected.tobytes()
+        weights = rng.uniform(-2, 2, 4)
+        if skew:
+            x = [edge_operator(rng, dim_h) for _ in weights]
+            y = [edge_operator(rng, dim_k) for _ in weights]
+            inst = TensorSumInstance(x, y, weights)
+        else:
+            inst = dense_instance(dim_h, dim_h, dim_k, weights)
+        n = dim_h * dim_k
+        expected = np.linalg.eigvalsh(dense_kron_sum(inst.x, inst.y, weights))
+        got = exact_reference(inst).eigenvalues
+        assert np.abs(got - expected).max() <= kron_sum_eigenvalue_bound(n, weights)
 
     def test_two_spin_norm(self):
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
@@ -876,31 +911,34 @@ class TestExactReference:
 
     # (dim_h, dim_k): strips of one x row (dim_k * n above 2^16); strips of
     # 3 x rows with a short last strip; strips of one x row (dim_k above
-    # 256); one strip (n <= 256).
+    # 256); one strip (n <= 256). Dyadic entries make every sum exact.
     @pytest.mark.parametrize("dim_h, dim_k", [(7, 100), (13, 40), (2, 257), (4, 8)])
     def test_eigenvalues_bitwise_equal_full_kron_sum(self, dim_h, dim_k):
-        weights = np.array([0.7, -1.3, 0.0, -0.25])
-        inst = dense_instance(5, dim_h, dim_k, weights)
+        weights = np.array([0.75, -1.25, 0.0, -0.25])
+        inst = dyadic_instance(5, dim_h, dim_k, weights)
         expected = np.linalg.eigvalsh(dense_kron_sum(inst.x, inst.y, weights))
         assert exact_reference(inst).eigenvalues.tobytes() == expected.tobytes()
 
-    # the one strip every sweep trial takes: one kron per term, of whole x_i
+    # the one strip every sweep trial takes: one kron of the weighted stack
     @pytest.mark.parametrize("dim_h, dim_k", [(1, 1), (4, 8), (16, 16), (2, 128)])
     def test_one_strip_up_to_n_256(self, monkeypatch, dim_h, dim_k):
-        shapes = []
+        calls = []
 
         def counted(a, b):
-            shapes.append(a.shape)
+            calls.append((a.copy(), b))
             return linalg.kron(a, b)
 
         monkeypatch.setattr(bounds, "kron", counted)
         weights = np.array([0.7, -1.3, 0.25])
-        exact_reference(dense_instance(8, dim_h, dim_k, weights))
-        assert shapes == [(dim_h, dim_h)] * len(weights)
+        inst = dense_instance(8, dim_h, dim_k, weights)
+        exact_reference(inst)
+        [(a, b)] = calls
+        assert a.tobytes() == (weights[:, None, None] * inst.x).tobytes()
+        assert b is inst.y
 
     def test_peak_memory_is_b_plus_small_tiles(self):
-        # strips of 2^16 entries (1 MB): a kron product and its weighted
-        # copy. B (16 MB) is a private map and LAPACK's copy of it is
+        # strips of 2^16 entries (1 MB): kron's matrix product and its copy
+        # in Kronecker order. B (16 MB) is a private map and LAPACK's copy of it is
         # allocated inside numpy's eigvalsh, both outside what tracemalloc
         # sees; B is traced only where it falls back to np.zeros.
         inst = dense_instance(6, 32, 32, np.array([1.0, -0.5, 0.25]))
@@ -950,11 +988,13 @@ class TestExactReference:
         weights = np.array([0.7, -1.3])
         for dim_h, dim_k in [(1, 1), (4, 4), (16, 16), (2, 128)]:
             exact_reference(dense_instance(2, dim_h, dim_k, weights))
-        at_threshold = dense_instance(2, 16, 32, weights)  # n = 512, 4 MiB
+        at_threshold = dyadic_instance(2, 16, 32, np.array([0.75, -1.25]))  # n = 512, 4 MiB
         with pytest.raises(AssertionError, match="mapped"):
             exact_reference(at_threshold)
         monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
-        expected = np.linalg.eigvalsh(dense_kron_sum(at_threshold.x, at_threshold.y, weights))
+        expected = np.linalg.eigvalsh(
+            dense_kron_sum(at_threshold.x, at_threshold.y, at_threshold.weights)
+        )
         assert exact_reference(at_threshold).eigenvalues.tobytes() == expected.tobytes()
 
     def test_dimension_cap_checked_before_assembly(self):

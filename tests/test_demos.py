@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tensorbound import build_report, load_instance, save_instance
+from oracles import kron_sum_eigenvalue_bound
+from tensorbound import build_report, exact_reference, load_instance, save_instance
 from tensorbound.cli import bound_report_to_dict
 from tensorbound.demos import build_demo, default_filename
 
@@ -47,6 +50,27 @@ def test_demo_round_trips_through_file(golden_path, tmp_path):
     loaded, loaded_graph = load_instance(path)
     report = bound_report_to_dict(build_report(loaded, loaded_graph))
     assert_matches(golden["report"], report)
+
+
+@pytest.mark.parametrize("golden_path", GOLDEN_FILES, ids=lambda p: p.stem)
+def test_real_path_matches_complex_path_and_closed_form(golden_path, monkeypatch):
+    # every demo's B is real, though its operators are complex: it reaches
+    # the real solver, whose spectrum agrees with the complex solver's on
+    # the same B and with the golden's closed-form lambda_max and ||B||^2
+    golden = json.loads(golden_path.read_text())
+    inst, _ = build_demo(golden["demo"], golden["m_arg"])
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+    spec = exact_reference(inst)
+    [b] = seen
+    assert b.dtype == np.float64
+    bound = kron_sum_eigenvalue_bound(len(b), inst.weights)
+    assert np.abs(spec.eigenvalues - eigvalsh(b.astype(complex))).max() <= bound
+    report = golden["report"]
+    assert spec.lambda_max == pytest.approx(report["exact_lambda_max"], rel=0, abs=bound)
+    norm = math.sqrt(report["exact_norm_squared"])
+    assert spec.spectral_norm == pytest.approx(norm, rel=0, abs=bound)
 
 
 def test_every_demo_has_a_golden():

@@ -53,36 +53,62 @@ class TestAsOperator:
             as_operator([[1, 0], [0, entry]])
 
 
+def integer_stack(rng, *shape):
+    """A stack of complex matrices with entries in {-4..4} + i {-4..4}:
+    every product and sum a tensor sum of them forms is exact in binary64."""
+    return rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
+
+
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
+        assert np.array_equal(kron(I2[None], I2[None]), np.eye(4))
 
     def test_sigma_z_tensor(self):
-        assert np.array_equal(kron(SZ, SZ), np.diag([1, -1, -1, 1]).astype(complex))
+        assert np.array_equal(kron(SZ[None], SZ[None]), np.diag([1, -1, -1, 1]).astype(complex))
 
     def test_two_spin_spectrum(self):
-        b = kron(SZ, SZ) + kron(SX, SX)
+        b = kron(np.stack([SZ, SX]), np.stack([SZ, SX]))
         summary = hermitian_eig(b)
         assert np.allclose(summary.eigenvalues, [-2, 0, 0, 2], atol=1e-12)
         assert summary.spectral_norm == pytest.approx(2.0, abs=1e-12)
 
     def test_block_structure(self):
         rng = np.random.default_rng(3)
-        a = random_matrix(rng, 2)
-        b = random_matrix(rng, 3)
+        a = integer_stack(rng, 3, 2, 2)
+        b = integer_stack(rng, 3, 3, 3)
         k = kron(a, b)
         for i in range(2):
             for j in range(2):
                 block = k[i * 3 : (i + 1) * 3, j * 3 : (j + 1) * 3]
-                assert np.array_equal(block, a[i, j] * b)
+                assert np.array_equal(block, sum(a[t, i, j] * b[t] for t in range(3)))
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_equals_numpy_kron(self, seed):
+        # the sum of np.kron, term by term, wherever the arithmetic is exact;
+        # rectangular, as exact_reference's strips are
         rng = np.random.default_rng(seed)
-        a = random_matrix(rng, int(rng.integers(1, 6)))
-        b = random_matrix(rng, int(rng.integers(1, 6)))
-        assert np.array_equal(kron(a, b), np.kron(a, b))
+        k, p, q, r, s = (int(v) for v in rng.integers(1, 6, 5))
+        a, b = integer_stack(rng, k, p, q), integer_stack(rng, k, r, s)
+        expected = sum(np.kron(x, y) for x, y in zip(a, b))
+        assert kron(a, b).shape == (p * r, q * s)
+        assert np.array_equal(kron(a, b), expected)
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_within_rounding_of_the_numpy_kron_sum(self, seed):
+        # each entry is a sum of k complex products, computed in any order
+        # within sqrt(2) gamma_{k+1} of the sum of their moduli (Higham,
+        # Lemma 3.5 and (3.4)); the two computations within twice that
+        rng = np.random.default_rng(seed)
+        k, p, q = (int(v) for v in rng.integers(1, 8, 3))
+        a = rng.normal(size=(k, p, p)) + 1j * rng.normal(size=(k, p, p))
+        b = rng.normal(size=(k, q, q)) + 1j * rng.normal(size=(k, q, q))
+        u = np.finfo(float).eps / 2
+        gamma = (k + 1) * u / (1 - (k + 1) * u)
+        moduli = sum(np.kron(np.abs(x), np.abs(y)) for x, y in zip(a, b))
+        error = np.abs(kron(a, b) - sum(np.kron(x, y) for x, y in zip(a, b)))
+        assert np.all(error <= 2 * math.sqrt(2) * gamma * moduli)
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -90,7 +116,9 @@ class TestKron:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, int(rng.integers(1, 5)))
         b = random_matrix(rng, int(rng.integers(1, 5)))
-        assert svd_norm(kron(a, b)) == pytest.approx(svd_norm(a) * svd_norm(b), rel=1e-9)
+        assert svd_norm(kron(a[None], b[None])) == pytest.approx(
+            svd_norm(a) * svd_norm(b), rel=1e-9
+        )
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -103,14 +131,15 @@ class TestKron:
         s2 = random_matrix(rng, 2)
         s2 = (s2 - s2.conj().T) / 2
 
-        def defect(a):
-            return np.max(np.abs(a - a.conj().T))
+        def defect(a, b):
+            k = kron(a[None], b[None])
+            return np.max(np.abs(k - k.conj().T))
 
-        assert defect(kron(h1, h2)) < 1e-12
-        assert defect(kron(s1, s2)) < 1e-12
+        assert defect(h1, h2) < 1e-12
+        assert defect(s1, s2) < 1e-12
         # a nonzero hermitian (x) skew product cannot be Hermitian
         if svd_norm(h1) > 1e-9 and svd_norm(s2) > 1e-9:
-            assert defect(kron(h1, s2)) > 1e-12
+            assert defect(h1, s2) > 1e-12
 
 
 class TestCommutators:
@@ -161,12 +190,11 @@ class TestCommutators:
         rng = np.random.default_rng(seed)
         a, b = (random_hermitian(rng, 2) for _ in range(2))
         c, d = (random_hermitian(rng, 3) for _ in range(2))
-        lhs = 0.5 * (
-            kron(a @ b + b @ a, c @ d + d @ c)
-            + kron(a @ b - b @ a, c @ d - d @ c)
+        lhs = 0.5 * kron(
+            np.stack([a @ b + b @ a, a @ b - b @ a]), np.stack([c @ d + d @ c, c @ d - d @ c])
         )
-        u = kron(a, c)
-        v = kron(b, d)
+        u = kron(a[None], c[None])
+        v = kron(b[None], d[None])
         rhs = u @ v + v @ u
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -178,7 +206,8 @@ class TestHermitianEig:
         assert summary.spectral_norm == 1.0
 
     def test_heisenberg_spectrum(self):
-        b = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
+        paulis = np.stack([SX, SY, SZ])
+        b = kron(paulis, paulis)
         summary = hermitian_eig(b)
         assert np.allclose(summary.eigenvalues, [-3, 1, 1, 1], atol=1e-10)
         assert summary.spectral_norm == pytest.approx(3.0, abs=1e-10)
@@ -212,6 +241,22 @@ class TestHermitianEig:
         # nor the imaginary part of the diagonal
         lower = np.tril(a) + np.diag(1j * rng.normal(size=len(a)))
         assert hermitian_eig(lower).eigenvalues.tobytes() == expected
+
+    def test_real_solver_only_when_every_imaginary_part_is_zero(self, monkeypatch):
+        # one nonzero imaginary part anywhere, below, on or above the
+        # diagonal, and however small, keeps the complex solver
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: dtypes.append(a.dtype) or eigvalsh(a))
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(5, 5)).astype(complex)
+        real = hermitian_eig(a + a.T).eigenvalues
+        assert dtypes == [np.float64]
+        for entry in [(3, 1), (2, 2), (1, 3)]:
+            b = a + a.T
+            b[entry] += 5e-324j
+            assert hermitian_eig(b).eigenvalues == pytest.approx(real, rel=0, abs=1e-13)
+            assert dtypes.pop() == np.complex128
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import chained_bell, lift
+from oracles import chained_bell, kron_sum_eigenvalue_bound, lift
 from tensorbound import (
     TensorSumInstance,
     build_report,
@@ -77,6 +77,25 @@ def test_dense_spectrum_of_a_lift_matches_closed_form():
     w = exact_reference(lifted).eigenvalues
     assert n == 1024 and len(w) == len(spectrum)
     assert np.abs(w - spectrum).max() <= n * UNIT_ROUNDOFF * norm
+
+
+@pytest.mark.parametrize("settings", [3, 4])
+def test_real_lift_takes_the_real_path_and_matches_closed_form(settings, monkeypatch):
+    # real orthogonal U and V keep the lifted operators, and so B, real:
+    # the real solver's spectrum agrees with the complex solver's on the
+    # same B and with the closed form
+    x, y = chained_bell(settings)
+    x_lift, y_lift, spectrum = lift(x, y, *LIFT_DIAGONALS, seed=12, real=True)
+    lifted = TensorSumInstance(x_lift, y_lift, np.ones(2 * settings))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+    w = exact_reference(lifted).eigenvalues
+    [b] = seen
+    assert b.dtype == np.float64 and len(b) == 1024
+    bound = kron_sum_eigenvalue_bound(len(b), lifted.weights)
+    assert np.abs(w - eigvalsh(b.astype(complex))).max() <= bound
+    assert np.abs(w - spectrum).max() <= bound
 
 
 def test_lanczos_above_the_cap_matches_closed_form():
