@@ -79,12 +79,14 @@ class TensorSumInstance:
     """A weighted tensor-sum problem: x_i on H, y_i on K, real weights c_i.
 
     Every operator must be a self-adjoint contraction. This is the one
-    place operators are checked: linalg.as_operator on each, then
-    families.validate on each side's stack, and a failure raises
-    ValueError naming the first failing operator, x before y. ``x`` and
-    ``y`` are stored as read-only complex stacks of shape (m, dim_h, dim_h)
-    and (m, dim_k, dim_k). Weights default to all ones and are otherwise
-    checked by as_weights.
+    place operators are checked, and a failure raises ValueError: first
+    the count of x and y, then the weights (all ones by default, otherwise
+    checked by as_weights), then x and y in turn. On each side
+    linalg.as_operator checks every operator, then families.validate the
+    side's stack up to its first dimension mismatch, so a refusal names
+    the first failing operator of the first failing side. ``x`` and ``y``
+    are stored as read-only complex stacks of shape (m, dim_h, dim_h) and
+    (m, dim_k, dim_k).
     """
 
     x: np.ndarray
@@ -92,32 +94,27 @@ class TensorSumInstance:
     weights: np.ndarray
 
     def __init__(self, x, y, weights=None):
-        x = [as_operator(a) for a in x]
-        y = [as_operator(b) for b in y]
+        x, y = list(x), list(y)
         if len(x) != len(y) or not x:
             raise ValueError(f"need equally many x and y operators, got {len(x)} and {len(y)}")
         m = len(x)
         w = np.ones(m) if weights is None else as_weights(weights, m)
         for side, ops in (("x", x), ("y", y)):
+            for k, a in enumerate(ops):
+                try:
+                    ops[k] = as_operator(a)
+                except ValueError as err:
+                    raise ValueError(f"{side} operator {k + 1} of {m}: {err}") from None
             dim = ops[0].shape[0]
             # validate up to the first dimension mismatch: a defect before it is reported first
-            equal = next((k for k, op in enumerate(ops) if op.shape[0] != dim), len(ops))
+            equal = next((k for k, op in enumerate(ops) if op.shape[0] != dim), m)
             stack = np.stack(ops[:equal])
-            cert = validate(stack)
-            failed = np.flatnonzero(~(cert.is_hermitian & cert.is_contraction))
-            if failed.size:
-                k = int(failed[0])
-                reason = (
-                    "entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
-                    if cert.norm[k] == np.inf
-                    else f"not self-adjoint, hermiticity defect {cert.hermiticity_defect[k]:.3e}"
-                    if not cert.is_hermitian[k]
-                    else f"not a contraction, norm {cert.norm[k]:.12g} > 1"
-                )
-                raise ValueError(f"{side} operator {k + 1} of {len(ops)}: {reason}")
-            if equal < len(ops):
+            if failure := validate(stack):
+                k, reason = failure
+                raise ValueError(f"{side} operator {k + 1} of {m}: {reason}")
+            if equal < m:
                 raise ValueError(
-                    f"{side} operator {equal + 1} of {len(ops)}: dimension "
+                    f"{side} operator {equal + 1} of {m}: dimension "
                     f"{ops[equal].shape[0]} differs from the first {side} operator's "
                     f"dimension {dim}"
                 )

@@ -10,7 +10,6 @@ across implementations and bit-identical within this one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,74 +42,63 @@ def pauli(which: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli label {which!r}, expected 'x', 'y' or 'z'") from None
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
-    """Checked facts about each operator of a (k, d, d) stack, as arrays of k.
-
-    ``is_hermitian`` means ||a - a*||_F <= HERM_TOL_FACTOR * max(1, ||a||_F),
-    with the measured ``hermiticity_defect`` explaining a failed check;
-    ``is_contraction`` means norm <= 1 + CONTRACTION_TOL. ``norm`` is inf
-    exactly where the entries are too large: ||a||_F^2 or ||a - a*||_F^2
-    overflows.
-    """
-
-    is_hermitian: np.ndarray
-    hermiticity_defect: np.ndarray
-    norm: np.ndarray
-    is_contraction: np.ndarray
-
-
 def _norms_from_gram(gram: np.ndarray) -> np.ndarray:
     """Operator norms sqrt(max(mu_max, 0)) from the Gram matrices a* a of a
     stack, mu_max the largest eigenvalue of one batched eigvalsh. validate
-    reports these norms and random_operator scales by them, so this
+    measures these norms and random_operator scales by them, so this
     arithmetic fixes every generated operator to the bit."""
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def _defects_and_norms(a: np.ndarray):
-    """Hermiticity defects, their acceptance and the norms of a stack.
+def _first_failure(a: np.ndarray) -> tuple[int, str] | None:
+    """validate on one batch: the first failing matrix and why, or None.
 
     ||a||_F^2 bounds every entry of a* a (Cauchy-Schwarz), so a* a is
-    finite wherever ||a||_F is. Where it or the defect overflows, a* a is
-    zeroed before eigvalsh and the norm set to inf.
+    finite wherever ||a||_F is. Where it or the defect overflows, the
+    entries are too large and a* a is zeroed before eigvalsh.
     """
     adjoint = np.swapaxes(a.conj(), -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is marked inf below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is marked large below
         size = frobenius_norms(a)
         defect = frobenius_norms(a - adjoint)
         gram = adjoint @ a
     large = np.maximum(size, defect) == np.inf
-    if overflow := large.any():
-        gram[large] = 0.0
+    gram[large] = 0.0
     norm = _norms_from_gram(gram)
-    if overflow:
-        norm[large] = np.inf
-    return defect, defect <= HERM_TOL_FACTOR * np.maximum(1.0, size), norm
+    hermitian = defect <= HERM_TOL_FACTOR * np.maximum(1.0, size)
+    failed = np.flatnonzero(large | ~(hermitian & (norm <= 1.0 + CONTRACTION_TOL)))
+    if not failed.size:
+        return None
+    k = int(failed[0])
+    if large[k]:
+        return k, "entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
+    if not hermitian[k]:
+        return k, f"not self-adjoint, hermiticity defect {defect[k]:.3e}"
+    return k, f"not a contraction, norm {norm[k]:.12g} > 1"
 
 
-def validate(a: np.ndarray) -> ContractionCertificate:
-    """Certify whether each matrix of a (k, d, d) stack, k >= 1, is a
-    self-adjoint contraction, max(1, BATCH_ENTRIES // d^2) matrices at a
-    time: a Frobenius reduction gives the hermiticity defects ||a - a*||_F,
-    and one eigvalsh of a* a its largest eigenvalue mu_max, hence the norm
-    sqrt(mu_max) (_norms_from_gram, the arithmetic random_operator scales
-    by). The Gram route measures the norm of a matrix that may fail the
-    self-adjointness check.
+def validate(a: np.ndarray) -> tuple[int, str] | None:
+    """The first matrix of a (k, d, d) stack, k >= 1, that is not a
+    self-adjoint contraction by the rule above HERM_TOL_FACTOR, as
+    (index, reason), or None when all are. Within one matrix, entries too
+    large (||a||_F^2 or ||a - a*||_F^2 overflows) come before hermiticity,
+    and hermiticity before contraction.
+
+    The stack goes through max(1, BATCH_ENTRIES // d^2) matrices at a
+    time, up to the first batch that holds a failure: a Frobenius
+    reduction gives the hermiticity defects, and one eigvalsh of a* a its
+    largest eigenvalue mu_max, hence the norm sqrt(mu_max) (_norms_from_gram,
+    the arithmetic random_operator scales by). The Gram route measures the
+    norm of a matrix that may fail the self-adjointness check.
 
     The stack is taken unchecked: TensorSumInstance passes operators that
-    linalg.as_operator has checked to be finite and square. Never raises;
-    failures show up as False flags plus the measured defects and norms.
+    linalg.as_operator has checked to be finite and square.
     """
     step = max(1, BATCH_ENTRIES // a.shape[1] ** 2)
-    parts = [_defects_and_norms(a[s : s + step]) for s in range(0, len(a), step)]
-    defect, is_herm, norm = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return ContractionCertificate(
-        is_hermitian=is_herm,
-        hermiticity_defect=defect,
-        norm=norm,
-        is_contraction=norm <= 1.0 + CONTRACTION_TOL,
-    )
+    for start in range(0, len(a), step):
+        if failure := _first_failure(a[start : start + step]):
+            return start + failure[0], failure[1]
+    return None
 
 
 def clifford_generators(m: int) -> tuple[np.ndarray, ...]:

@@ -47,8 +47,14 @@ _LANCZOS_CHECK_EVERY = 10
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce to a square complex matrix, rejecting non-finite entries;
+    every refusal is a ValueError."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("operator entries must be finite (no NaN/Inf)") from None
+    except (TypeError, ValueError):  # an entry that is not a number, or ragged rows
+        raise ValueError("operator must be a rectangular array of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:

@@ -175,6 +175,11 @@ class TestInstanceValidation:
         assert math.isfinite(report.complete_bound)
         assert math.isfinite(report.exact_norm_squared)
 
+    def test_operators_may_come_from_any_iterable(self):
+        inst = TensorSumInstance(iter([SZ, SX]), (b for b in [SZ, SX]))
+        assert np.array_equal(inst.x, np.stack([SZ, SX]))
+        assert np.array_equal(inst.y, inst.x)
+
     def test_default_weights_are_ones(self):
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
         assert np.array_equal(inst.weights, [1.0, 1.0])
@@ -206,6 +211,7 @@ class TestInstanceValidation:
 
 
 NON_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
+NAN = np.full((2, 2), np.nan, dtype=complex)
 
 
 def validation_message(x, y):
@@ -292,8 +298,51 @@ class TestValidationMessages:
             "unknown demo 'nope', expected one of ('chsh', 'heisenberg', 'clifford', "
             "'two-spin', 'counterexample', 'star', 'chain')",
         ),
+        # count, then weights, then x, then y; on each side shape and finiteness first
+        (
+            lambda: TensorSumInstance([NAN], [SZ, SZ]),
+            "need equally many x and y operators, got 1 and 2",
+        ),
+        (lambda: TensorSumInstance([NAN], [SZ], [np.inf]), "weights must be finite reals"),
+        (
+            lambda: TensorSumInstance([SZ], [NAN]),
+            "y operator 1 of 1: operator entries must be finite (no NaN/Inf)",
+        ),
+        (
+            lambda: TensorSumInstance([SZ, np.ones((2, 3))], [SZ, SZ]),
+            "x operator 2 of 2: operator must be a square matrix, got shape (2, 3)",
+        ),
+        (
+            lambda: TensorSumInstance([np.zeros((0, 0))], [SZ]),
+            "x operator 1 of 1: operator dimension must be at least 1",
+        ),
+        (
+            lambda: TensorSumInstance([SZ], [[[1, 0], [0]]]),
+            "y operator 1 of 1: operator must be a rectangular array of numbers",
+        ),
+        (
+            lambda: TensorSumInstance([[[object()]]], [SZ]),
+            "x operator 1 of 1: operator must be a rectangular array of numbers",
+        ),
+        (
+            lambda: TensorSumInstance([[[10**400]]], [SZ]),
+            "x operator 1 of 1: operator entries must be finite (no NaN/Inf)",
+        ),
+        (
+            lambda: TensorSumInstance([SZ, NON_HERMITIAN], [NAN, SZ]),
+            "x operator 2 of 2: not self-adjoint, hermiticity defect 1.414e+00",
+        ),
+        (
+            lambda: TensorSumInstance([SZ, NON_HERMITIAN, NAN], [SZ, SZ, SZ]),
+            "x operator 3 of 3: operator entries must be finite (no NaN/Inf)",
+        ),
     ],
-    ids=["empty-weights", "empty-operator", "no-vertex", "one-vertex", "small-demo", "no-demo"],
+    ids=[
+        "empty-weights", "empty-operator", "no-vertex", "one-vertex", "small-demo", "no-demo",
+        "count-first", "weights-before-operators", "nan-in-y", "non-square-x", "zero-dimension",
+        "ragged", "non-numeric", "integer-overflow", "x-defect-before-y-nan",
+        "nan-before-an-earlier-defect",
+    ],
 )
 def test_library_refusals_pinned(refused, message):
     with pytest.raises(ValueError) as err:

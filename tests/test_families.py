@@ -39,39 +39,42 @@ class TestPauli:
         assert pauli("z")[0, 0] == 1
 
 
+NON_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
+TOO_LARGE = "entries too large: ||a||_F^2 or ||a - a*||_F^2 overflows"
+
+
 class TestValidate:
     def test_pauli_x_is_unitary_involution(self):
-        cert = validate(pauli("x")[None])
-        assert cert.is_hermitian.tolist() == [True]
-        assert cert.norm[0] == pytest.approx(1.0, abs=1e-14)
-        assert cert.is_contraction.tolist() == [True]
+        assert validate(pauli("x")[None]) is None
         assert involution_defect(pauli("x")) == 0.0
 
     def test_scaled_pauli_not_contraction(self):
-        cert = validate(2 * pauli("x")[None])
-        assert cert.is_contraction.tolist() == [False]
-        assert cert.norm[0] == pytest.approx(2.0, abs=1e-12)
+        assert validate(2 * pauli("x")[None]) == (0, "not a contraction, norm 2 > 1")
 
     def test_half_sum_is_strict_contraction(self):
         a = 0.5 * (pauli("z") + pauli("x"))
         lo, hi = eig2x2_hermitian(a)
         assert hi == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
         assert lo == pytest.approx(-math.sqrt(2) / 2, abs=1e-15)
-        cert = validate(a[None])
-        assert cert.is_contraction.tolist() == [True]
-        assert cert.norm[0] == pytest.approx(math.sqrt(2) / 2, rel=1e-12)
+        assert validate(a[None]) is None
 
     def test_non_hermitian_reported_not_raised(self):
-        cert = validate(np.array([[[0, 1], [0, 0]]], dtype=complex))
-        assert cert.is_hermitian.tolist() == [False]
-        assert cert.hermiticity_defect[0] > 1.0
+        # ||N - N*||_F = sqrt(2); 3 N also fails the contraction check, but hermiticity comes first
+        reason = "not self-adjoint, hermiticity defect 1.414e+00"
+        assert validate(NON_HERMITIAN[None]) == (0, reason)
+        assert validate(3 * NON_HERMITIAN[None]) == (0, "not self-adjoint, hermiticity defect 4.243e+00")
 
-    def test_entries_too_large_give_an_infinite_norm(self):
-        # a* a of the first matrix overflows; its batch-mate's norm is untouched
+    def test_entries_too_large_come_first(self):
         big = np.full((2, 2), 1e200, dtype=complex)
-        cert = validate(np.stack([big, pauli("x")]))
-        assert cert.norm.tolist() == [np.inf, validate(pauli("x")[None]).norm[0]]
-        assert cert.is_contraction.tolist() == [False, True]
+        assert validate(np.stack([big, 2 * pauli("x")])) == (0, TOO_LARGE)
+        assert validate(np.stack([pauli("x"), big])) == (1, TOO_LARGE)
+
+    def test_entries_too_large_leave_the_batch_mates_verdict(self):
+        # a* a of the overflowing matrix is zeroed before the one eigvalsh of the batch
+        big = np.full((2, 2), 1e200, dtype=complex)
+        for mate in (2 * pauli("x"), 0.5 * (pauli("z") + 2 * pauli("x")), NON_HERMITIAN):
+            assert validate(np.stack([mate, big])) == validate(mate[None])
+            assert validate(mate[None])[0] == 0
 
 
 OPERATOR_KINDS = ("hermitian", "non_hermitian", "scaled_above_one", "involution")
@@ -107,54 +110,73 @@ def operator_stacks(draw):
     return kinds, np.stack([draw_operator(rng, kind, dim) for kind in kinds])
 
 
+def single_verdict(kind, a):
+    """validate of one matrix, checked against what its kind promises."""
+    verdict = validate(a[None])
+    if kind == "non_hermitian":
+        assert verdict[0] == 0 and verdict[1].startswith("not self-adjoint, hermiticity defect ")
+    elif kind == "scaled_above_one":
+        # the same arithmetic as random_operator's norms, to the last bit
+        assert verdict == (0, f"not a contraction, norm {format(gram_norm(a), '.12g')} > 1")
+        assert gram_norm(a) == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
+    else:
+        assert verdict is None
+    return verdict
+
+
+def first_failure(kinds, stack):
+    """The (index, reason) validate owes a stack: the first single-matrix failure."""
+    verdicts = [single_verdict(kind, a) for kind, a in zip(kinds, stack)]
+    return next(((k, v[1]) for k, v in enumerate(verdicts) if v is not None), None)
+
+
 class TestValidateStack:
     @given(operator_stacks())
     @settings(max_examples=150, deadline=None)
-    def test_each_entry_matches_the_single_matrix_certificate(self, case):
+    def test_the_first_single_matrix_failure_is_reported(self, case):
         kinds, stack = case
-        cert = validate(stack)
-        assert cert.norm.shape == (len(kinds),)
-        for k, (kind, a) in enumerate(zip(kinds, stack)):
-            single = validate(a[None])
-            assert cert.is_hermitian[k] == single.is_hermitian[0] == (kind != "non_hermitian")
-            assert cert.is_contraction[k] == single.is_contraction[0]
-            # the same arithmetic as random_operator's norms, to the last bit
-            assert cert.norm[k] == single.norm[0] == gram_norm(a)
-            assert cert.norm[k] == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
-            if kind == "scaled_above_one":
-                assert not cert.is_contraction[k]
+        assert validate(stack) == first_failure(kinds, stack)
 
     def test_stack_spanning_several_batches(self):
-        # 96 x 96 operators go through validate 7 at a time
+        # 96 x 96 operators go through validate 7 at a time, so 21 make three batches
         rng = np.random.default_rng(5)
-        kinds = OPERATOR_KINDS * 3
+        kinds = ["hermitian", "involution", "hermitian"] * 7
         stack = np.stack([draw_operator(rng, kind, 96) for kind in kinds])
-        cert = validate(stack)
-        for k, a in enumerate(stack):
-            single = validate(a[None])
-            assert cert.is_hermitian[k] == single.is_hermitian[0] == (kinds[k] != "non_hermitian")
-            assert cert.is_contraction[k] == single.is_contraction[0]
-            assert cert.norm[k] == single.norm[0] == gram_norm(a)
-            assert cert.norm[k] == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
-            assert cert.hermiticity_defect[k] == pytest.approx(single.hermiticity_defect[0], rel=1e-13)
+        assert validate(stack) is None
+        # a failure in the third batch reports its global index
+        kinds[17] = "scaled_above_one"
+        stack[17] = draw_operator(rng, "scaled_above_one", 96)
+        assert validate(stack) == first_failure(kinds, stack)
+        assert validate(stack)[0] == 17
+        # an earlier failure in another batch wins over it
+        kinds[9] = "non_hermitian"
+        stack[9] = draw_operator(rng, "non_hermitian", 96)
+        assert validate(stack) == first_failure(kinds, stack)
+        assert validate(stack)[0] == 9
 
     @pytest.mark.parametrize("count, dim", [(1, 3), (12, 3), (12, 96), (7, 256), (5000, 4)])
     def test_batches_cover_the_stack_in_order_within_the_budget(self, count, dim, monkeypatch):
         seen = []
-        defects_and_norms = families._defects_and_norms
+        first_failure_of = families._first_failure
 
         def recording(part):
             seen.append(part)
-            return defects_and_norms(part)
+            return first_failure_of(part)
 
-        monkeypatch.setattr(families, "_defects_and_norms", recording)
-        stack = np.arange(count, dtype=complex)[:, None, None] * np.eye(dim)
-        cert = validate(stack)
-        # matrix k is k I, so the batches in call order spell the stack
-        assert np.concatenate([part[:, 0, 0].real for part in seen]).tolist() == list(range(count))
+        monkeypatch.setattr(families, "_first_failure", recording)
+        # matrix k is the contraction (k / count) I, so every batch is visited
+        stack = (np.arange(count) / count)[:, None, None] * np.eye(dim, dtype=complex)
+        assert validate(stack) is None
+        # the batches in call order spell the stack
+        visited = np.concatenate([part[:, 0, 0].real for part in seen])
+        assert visited.tolist() == (np.arange(count) / count).tolist()
         assert all(part.size <= BATCH_ENTRIES or len(part) == 1 for part in seen)
         assert len(seen) == -(-count // max(1, BATCH_ENTRIES // dim ** 2))
-        assert cert.norm == pytest.approx(np.arange(count), rel=1e-14)
+        # a failure in the first batch ends the pass there
+        seen.clear()
+        stack[0] = 2 * np.eye(dim)
+        assert validate(stack) == (0, "not a contraction, norm 2 > 1")
+        assert len(seen) == 1
 
 
 class TestCliffordGenerators:
@@ -248,7 +270,7 @@ class TestRandomOperator:
 
     def test_validate_accepts_every_kind(self):
         for kind in ("contraction", "unitary_involution"):
-            assert validate(random_operator(kind, 3, [7])).is_contraction.tolist() == [True]
+            assert validate(random_operator(kind, 3, [7])) is None
 
     @given(
         st.sampled_from(ENSEMBLE_KINDS),
