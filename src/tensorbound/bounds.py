@@ -60,7 +60,7 @@ def as_weights(weights, m: int | None = None) -> np.ndarray:
     (sum |c_i|)^2 finite, which bounds every value computed from them."""
     try:
         w = np.asarray(weights, dtype=float)
-    except OverflowError:  # an integer beyond the float range
+    except (OverflowError, TypeError, ValueError):  # a huge integer, a complex, a string, ragged
         raise ValueError("weights must be finite reals") from None
     if m is not None and w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
@@ -86,7 +86,9 @@ class TensorSumInstance:
     side's stack up to its first dimension mismatch, so a refusal names
     the first failing operator of the first failing side. ``x`` and ``y``
     are stored as read-only complex stacks of shape (m, dim_h, dim_h) and
-    (m, dim_k, dim_k).
+    (m, dim_k, dim_k), each its own adjoint: an entry that is not the
+    conjugate of its mirror becomes that of the Hermitian part (a + a*)/2,
+    of norm at most ||a||, so an exactly Hermitian side keeps its bits.
     """
 
     x: np.ndarray
@@ -118,6 +120,9 @@ class TensorSumInstance:
                     f"{ops[equal].shape[0]} differs from the first {side} operator's "
                     f"dimension {dim}"
                 )
+            adjoint = np.swapaxes(stack.conj(), -1, -2)
+            if not np.array_equal(stack, adjoint):  # the Hermitian part, mirrored bitwise
+                stack = np.where(stack == adjoint, stack, (stack + adjoint) / 2)
             stack.flags.writeable = False
             object.__setattr__(self, side, stack)
         object.__setattr__(self, "weights", w)
@@ -156,12 +161,7 @@ def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
     Each pair takes one product P = a_i a_j: for self-adjoint a, b,
     ba = (ab)*, so [a, b] = P - P* and {a, b} = P + P*, whose norms are those
     of the Hermitian i(P - P*) and P + P*, and one eigvalsh per batch
-    (linalg.spectral_norm) gives both. An operator that TensorSumInstance
-    accepts may miss self-adjointness by its defect E = a - a*, whose
-    delta = ||E||_F >= ||E|| is at most families.HERM_TOL_FACTOR *
-    max(1, ||a||_F). Since ba - (ab)* = E_b a + b E_a - E_b E_a, each norm
-    then differs from that of the true commutator or anticommutator by at
-    most delta_b ||a|| + ||b|| delta_a + delta_a delta_b.
+    (linalg.spectral_norm) gives both.
 
     Pairs go through in batches of k, their i(P - P*) and P + P* written
     into one (2k, d, d) stack of at most max(2 d^2, BATCH_ENTRIES) entries:
@@ -186,8 +186,7 @@ def _pair_norms(ops: np.ndarray, first: np.ndarray, second: np.ndarray):
 
 @functools.lru_cache(maxsize=64)
 def _upper(m: int) -> np.ndarray:
-    """Read-only (m, m) mask of i < j, whose pairs run in np.triu_indices(m, 1)
-    order. exact_reference's blocks, up to 4096 x 4096, skip the cache."""
+    """Read-only (m, m) mask of i < j, whose pairs run in np.triu_indices(m, 1) order."""
     mask = np.arange(m)[:, None] < np.arange(m)
     mask.flags.writeable = False
     return mask
@@ -313,12 +312,12 @@ def exact_reference(
     B_c is filled in horizontal strips of whole x rows: the strip of x rows
     r:e is one kron(c x[:, r:e, :e], y), of at most max(BATCH_ENTRIES,
     dim_k * n) entries, whose sums over i run in BLAS's order. A strip
-    reaches only up to its own diagonal block, whose strict upper triangle
-    is then zeroed: hermitian_eig reads B_c's lower triangle alone, in real
-    arithmetic when B_c is real. From n = 512 on, B_c lies in a private map
-    (_zeros), so only the pages the strips write become resident, a little
-    over half of B_c. Peak memory is that half plus LAPACK's copy, about
-    1.5 n^2 * 16 bytes (1.06 n^2 * 16 for a real B_c, whose copy is float).
+    reaches only up to its own diagonal block, Hermitian like every operator:
+    hermitian_eig reads B_c's lower triangle alone, in real arithmetic when
+    B_c is real. From n = 512 on, B_c lies in a private map (_zeros), so
+    only the pages the strips write become resident, a little over half of
+    B_c. Peak memory is that half plus LAPACK's copy, about 1.5 n^2 * 16
+    bytes (1.06 n^2 * 16 for a real B_c, whose copy is float).
     """
     dh, dk = inst.dim_h, inst.dim_k
     check_dim_cap(dh, dk, dim_cap)
@@ -328,10 +327,7 @@ def exact_reference(
     b = _zeros(n)
     for r in range(0, dh, rows):
         e = min(r + rows, dh)
-        strip = b[r * dk : e * dk, : e * dk]
-        strip[...] = kron(c * inst.x[:, r:e, :e], inst.y)
-        block = strip[:, r * dk :]  # the strip's diagonal block
-        block[_upper.__wrapped__(len(block))] = 0  # B_c's lower triangle only
+        b[r * dk : e * dk, : e * dk] = kron(c * inst.x[:, r:e, :e], inst.y)
     return hermitian_eig(b)
 
 

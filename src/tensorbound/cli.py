@@ -336,20 +336,22 @@ def _resolve_graph(args, embedded: InteractionGraph | None, m: int):
 # subcommands
 
 
+def _bounds_hold(report, tol: float) -> bool:
+    """The self-check of bound and demo: an error line for each bound that
+    the exact value exceeds (exceeded_bounds), and whether there was none."""
+    exceeded = exceeded_bounds(report, tol)
+    for name, value in exceeded:
+        excess = f"exact norm^2 {report.exact_norm_squared!r} exceeds the {name} {value!r}"
+        print(f"error: {excess}; this indicates a bug", file=sys.stderr)
+    return not exceeded
+
+
 def cmd_bound(args, parser) -> int:
     inst, embedded = load_instance(args.instance)
     graph = _resolve_graph(args, embedded, inst.m)
     report = build_report(inst, graph, dim_cap=args.dim_cap)
     _print_report(args.output, report, bound_report_text, bound_report_to_dict, bound_report_csv)
-
-    exceeded = exceeded_bounds(report, args.tol)
-    for name, value in exceeded:
-        print(
-            f"error: exact norm^2 {report.exact_norm_squared!r} exceeds the "
-            f"{name} {value!r}; this indicates a bug",
-            file=sys.stderr,
-        )
-    if exceeded:
+    if not _bounds_hold(report, args.tol):
         return EXIT_VALIDATION
     if graph is not None and report.sparse_bound is None:
         if report.domination is not None and not report.domination.satisfied:
@@ -420,7 +422,7 @@ def cmd_demo(args, parser) -> int:
     print(f"wrote {path}", file=sys.stderr)
     report = build_report(inst, graph, dim_cap=args.dim_cap)
     _print_report(args.output, report, bound_report_text, bound_report_to_dict)
-    return EXIT_OK
+    return EXIT_OK if _bounds_hold(report, args.tol) else EXIT_VALIDATION
 
 
 def cmd_sweep(args, parser) -> int:

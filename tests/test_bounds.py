@@ -180,6 +180,29 @@ class TestInstanceValidation:
         assert np.array_equal(inst.x, np.stack([SZ, SX]))
         assert np.array_equal(inst.y, inst.x)
 
+    @pytest.mark.parametrize("kind", ["contraction", "unitary_involution"])
+    def test_every_stored_stack_equals_its_adjoint(self, kind):
+        # a side that already equals its adjoint keeps its bytes; any other
+        # (unitary involutions at some d) is stored as its Hermitian part
+        for d in range(1, 9):
+            ops = random_operator(kind, d, range(6))
+            inst = TensorSumInstance(ops[:3], ops[3:])
+            for raw, stored in ((ops[:3], inst.x), (ops[3:], inst.y)):
+                adjoint = np.swapaxes(raw.conj(), -1, -2)
+                assert np.array_equal(stored, np.swapaxes(stored.conj(), -1, -2))
+                assert np.array_equal(stored, (raw + adjoint) / 2)
+                if np.array_equal(raw, adjoint):
+                    assert stored.tobytes() == raw.tobytes()
+
+    def test_hermitian_entries_keep_their_signed_zeros(self):
+        # -Z has -0.0 in every imaginary part, which (a + a*)/2 makes +0.0 on
+        # the diagonal; a side with a defect elsewhere keeps -Z's entries too
+        near = SZ + 4.5e-11j * SX
+        inst = TensorSumInstance([-SZ, SY], [-SZ, near])
+        assert inst.x.tobytes() == np.stack([-SZ, SY]).tobytes()
+        assert inst.y[0].tobytes() == (-SZ).tobytes()
+        assert np.array_equal(inst.y[1], SZ)
+
     def test_default_weights_are_ones(self):
         inst = TensorSumInstance([SZ, SX], [SZ, SX])
         assert np.array_equal(inst.weights, [1.0, 1.0])
@@ -304,6 +327,14 @@ class TestValidationMessages:
             "need equally many x and y operators, got 1 and 2",
         ),
         (lambda: TensorSumInstance([NAN], [SZ], [np.inf]), "weights must be finite reals"),
+        # weights numpy cannot make floats: a complex, a string, ragged rows
+        (lambda: TensorSumInstance([SZ, SZ], [SZ, SZ], [1j, 1]), "weights must be finite reals"),
+        (lambda: TensorSumInstance([SZ, SZ], [SZ, SZ], ["a", 1]), "weights must be finite reals"),
+        (
+            lambda: TensorSumInstance([SZ, SZ], [SZ, SZ], [[1], [2, 3]]),
+            "weights must be finite reals",
+        ),
+        (lambda: build_certificate_report(2.0, weights=[1j, 1]), "weights must be finite reals"),
         (
             lambda: TensorSumInstance([SZ], [NAN]),
             "y operator 1 of 1: operator entries must be finite (no NaN/Inf)",
@@ -339,8 +370,9 @@ class TestValidationMessages:
     ],
     ids=[
         "empty-weights", "empty-operator", "no-vertex", "one-vertex", "small-demo", "no-demo",
-        "count-first", "weights-before-operators", "nan-in-y", "non-square-x", "zero-dimension",
-        "ragged", "non-numeric", "integer-overflow", "x-defect-before-y-nan",
+        "count-first", "weights-before-operators", "complex-weight", "string-weight",
+        "ragged-weights", "complex-certificate-weight", "nan-in-y", "non-square-x",
+        "zero-dimension", "ragged", "non-numeric", "integer-overflow", "x-defect-before-y-nan",
         "nan-before-an-earlier-defect",
     ],
 )
@@ -455,11 +487,10 @@ class TestPhiTable:
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_operators_at_the_hermiticity_edge(self, seed):
-        # Operators whose defect delta = ||a - a*||_F sits just under
-        # HERM_TOL_FACTOR * max(1, ||a||_F) are accepted. _pair_norms then
-        # measures P - P* and P + P* for P = ab, where ba - P* = E_b a + b E_a
-        # - E_b E_a with E = a - a*: each norm is off by at most
-        # delta_b ||a|| + ||b|| delta_a + delta_a delta_b.
+        # Operators whose defect ||a - a*||_F sits just under HERM_TOL_FACTOR *
+        # max(1, ||a||_F) are accepted and stored as their Hermitian parts
+        # (a + a*)/2, equal to their adjoints entry for entry, so phi is that
+        # of the stored operators to rounding, with no allowance for a defect.
         rng = np.random.default_rng(seed)
         m, dim = 4, 5
 
@@ -471,32 +502,27 @@ class TestPhiTable:
             t = 0.5 * 0.999 * HERM_TOL_FACTOR * max(1.0, np.linalg.norm(h))
             return h + t * skew
 
-        inst = TensorSumInstance([at_edge() for _ in range(m)], [at_edge() for _ in range(m)])
+        x, y = np.stack([at_edge() for _ in range(m)]), np.stack([at_edge() for _ in range(m)])
+        inst = TensorSumInstance(x, y)
+        for raw, stored in ((x, inst.x), (y, inst.y)):
+            adjoint = np.swapaxes(raw.conj(), -1, -2)
+            for a, a_adj in zip(raw, adjoint):
+                delta = np.linalg.norm(a - a_adj)
+                assert 0.99 * HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a)) < delta
+            assert np.array_equal(stored, np.swapaxes(stored.conj(), -1, -2))
+            assert np.array_equal(stored, (raw + adjoint) / 2)
+
         rounding = 1e-14
         first, second = np.triu_indices(m, k=1)
-        sides = []  # per side: (edge bound, true commutator norm, true anticommutator norm) per pair
         for ops in (inst.x, inst.y):
-            delta = [np.linalg.norm(a - a.conj().T) for a in ops]
-            size = [svd_norm(a) for a in ops]
-            for k, a in enumerate(ops):
-                assert 0.99 * HERM_TOL_FACTOR * max(1.0, np.linalg.norm(a)) < delta[k]
             comm, anti = bounds._pair_norms(ops, first, second)
-            pairs = []
             for k, (i, j) in enumerate(zip(first, second)):
                 a, b = ops[i], ops[j]
-                edge = delta[j] * size[i] + size[j] * delta[i] + delta[i] * delta[j]
-                c, s = svd_norm(a @ b - b @ a), svd_norm(a @ b + b @ a)
-                assert abs(comm[k] - c) <= edge + rounding
-                assert abs(anti[k] - s) <= edge + rounding
-                pairs.append((edge, c, s))
-            sides.append(pairs)
-
+                assert abs(comm[k] - svd_norm(a @ b - b @ a)) <= rounding
+                assert abs(anti[k] - svd_norm(a @ b + b @ a)) <= rounding
         table = phi_table(inst)
-        brute = brute_phi_breakdown(inst.x, inst.y)
-        for k, (i, j) in enumerate(zip(first, second)):
-            (ex, cx, ax), (ey, cy, ay) = sides[0][k], sides[1][k]
-            bound = 0.5 * (ex * (cy + ay) + ey * (cx + ax) + 2 * ex * ey)
-            assert abs(table.values[i, j] - brute[(i, j)]) <= bound + rounding
+        for (i, j), phi in brute_phi_breakdown(inst.x, inst.y).items():
+            assert abs(table.values[i, j] - phi) <= rounding
 
 
 class TestPairNormBatches:
@@ -855,21 +881,46 @@ class TestAcceptanceEdges:
         assert exceeded_bounds(report, 1e-8) == []
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tensor_sum_matvec_is_hermitian(self, seed):
+        # Lanczos reads B through this matvec, on stored operators that equal
+        # their adjoints: <u, B v> = <B u, v> up to rounding, where operators
+        # that kept their defects of about 1e-10 would read about 1e-11
+        rng = np.random.default_rng(seed)
+        m, d = 8, 24
+        x = [edge_operator(rng, d) for _ in range(m)]
+        y = [edge_operator(rng, d) for _ in range(m)]
+        matvec = bounds._tensor_sum_matvec(TensorSumInstance(x, y, rng.uniform(-2, 2, m)))
+        for _ in range(3):
+            u, v = (rng.normal(size=d * d) + 1j * rng.normal(size=d * d) for _ in range(2))
+            u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+            assert abs(np.vdot(u, matvec(v)) - np.vdot(matvec(u), v)) <= 1e-14
+
+
 class TestExactReference:
     def test_terms_at_the_hermiticity_tolerance_are_accepted(self):
-        # Z + 4.5e-11 i X passes validation (defect 1.27e-10 against 1.41e-10),
-        # while its square a (x) a, assembled in full, carries 2.55e-10 against 2.0e-10
+        # Z + 4.5e-11 i X passes validation (defect 1.27e-10 against 1.41e-10)
+        # and is stored as its Hermitian part, Z, whose spectrum exact gives
         a = SZ + 4.5e-11j * SX
-        summary = exact_reference(TensorSumInstance([a], [a]))
-        assert summary.spectral_norm == pytest.approx(1.0, abs=1e-9)
-        expected = np.linalg.eigvalsh(dense_kron_sum([a], [a], [1.0]))
+        inst = TensorSumInstance([a], [a])
+        h = (a + a.conj().T) / 2
+        assert np.array_equal(h, SZ) and np.array_equal(inst.x, [h]) and np.array_equal(inst.y, [h])
+        summary = exact_reference(inst)
+        expected = np.linalg.eigvalsh(dense_kron_sum([h], [h], [1.0]))
         assert summary.eigenvalues.tobytes() == expected.tobytes()
+        assert summary.eigenvalues.tolist() == [-1.0, -1.0, 1.0, 1.0]
+
+    @staticmethod
+    def strips(dim_h, dim_k):
+        """The (first, end) x rows of each strip exact_reference writes."""
+        rows = max(1, linalg.BATCH_ENTRIES // (dim_k * dim_h * dim_k))
+        return [(r, min(r + rows, dim_h)) for r in range(0, dim_h, rows)]
 
     def test_assembled_matrix_is_the_lower_triangle(self, monkeypatch):
         # one entry; strips of 5 x rows in np.zeros (n = 280), of 2 x rows
         # in np.zeros (n = 300) and in a private map (n = 540), each with a
-        # short last strip; skew terms, so the full sum's diagonal is
-        # complex; dyadic entries, so every sum is exact in any order
+        # short last strip; skew terms, stored as their Hermitian parts;
+        # dyadic entries, so every sum is exact in any order
         seen = []
         monkeypatch.setattr(
             bounds, "hermitian_eig", lambda b: seen.append((b.copy(), not b.flags.owndata))
@@ -881,9 +932,35 @@ class TestExactReference:
             b, in_map = seen.pop()
             assert in_map == (mapped and hasattr(mmap, "MAP_PRIVATE"))
             full = dense_kron_sum(inst.x, inst.y, weights)
-            assert np.any(np.diag(full).imag != 0)
+            assert not np.diag(full).imag.any()  # the skew went with the defect
             assert np.tril(b).tobytes() == np.tril(full).tobytes()
-            assert not np.triu(b, 1).any()
+            for r, e in self.strips(dim_h, dim_k):
+                block = b[r * dim_k : e * dim_k, r * dim_k : e * dim_k]
+                assert np.array_equal(block, block.conj().T)
+                assert not b[r * dim_k : e * dim_k, e * dim_k :].any()
+
+    # rounded sums, at the acceptance limits and on random operators: each
+    # diagonal block is exactly Hermitian, and nothing above them is written
+    @pytest.mark.parametrize(
+        "dim_h, dim_k, edge", [(1, 1, True), (2, 3, True), (7, 40, True), (9, 60, True),
+                               (13, 40, False), (2, 257, False), (16, 16, False), (6, 7, False)]
+    )
+    def test_diagonal_blocks_are_hermitian(self, monkeypatch, dim_h, dim_k, edge):
+        seen = []
+        monkeypatch.setattr(bounds, "hermitian_eig", lambda b: seen.append(b.copy()))
+        rng = np.random.default_rng(dim_h * dim_k)
+        weights = rng.uniform(-2, 2, 5)
+        if edge:
+            x = [edge_operator(rng, dim_h) for _ in weights]
+            inst = TensorSumInstance(x, [edge_operator(rng, dim_k) for _ in weights], weights)
+        else:
+            inst = dense_instance(dim_h, dim_h, dim_k, weights)
+        exact_reference(inst)
+        [b] = seen
+        for r, e in self.strips(dim_h, dim_k):
+            block = b[r * dim_k : e * dim_k, r * dim_k : e * dim_k]
+            assert np.array_equal(block, block.conj().T)
+            assert not b[r * dim_k : e * dim_k, e * dim_k :].any()
 
     def test_operators_are_checked_only_by_the_instance(self, monkeypatch):
         # strips of 5 x rows and of one x row; n = 16 takes the dense path

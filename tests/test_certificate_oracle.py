@@ -58,7 +58,7 @@ GATE_SWEEPS = {
 # Thresholds per sweep: 2 per distinct positive term, plus 1 per trial.
 THRESHOLDS = {"seed-42": 5506, "complete": 5506, "m9-d5": 15570}
 # Phi thresholds per sweep: 2 per distinct positive phi.
-PHI_THRESHOLDS = {"seed-42": 4974, "complete": 4974, "m9-d5": 14892}
+PHI_THRESHOLDS = {"seed-42": 4966, "complete": 4966, "m9-d5": 14908}
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from tensorbound import (
     sweep,
 )
 from tensorbound.demos import build_demo
+from tensorbound.instance_io import matrix_to_json
 from test_bounds import no_phi, small_weight_instance
 from test_certificates import oracle_norm, scalar_instance
 from test_render import RENDER_DIR
@@ -272,6 +273,18 @@ class TestBoundSelfCheck:
         assert "exceeds the complete bound" in err
         assert "exceeds the sparse bound" in err
 
+    def test_demo_runs_the_same_self_check(self, tmp_path, monkeypatch, capsys):
+        real = cli.build_report
+
+        def below_exact(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, complete_bound=report.exact_norm_squared / 2)
+
+        monkeypatch.setattr(cli, "build_report", below_exact)
+        assert cli.main(["demo", "chsh", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the complete bound" in err and "this indicates a bug" in err
+
 
 class TestExact:
     def test_two_spin_spectrum(self, demo_dir):
@@ -290,8 +303,12 @@ class TestExact:
 
     @pytest.mark.parametrize("command", ["bound", "exact", "certify"])
     def test_terms_at_the_hermiticity_tolerance_are_accepted(self, tmp_path, command):
+        # the file holds the raw operator: an instance would store its Hermitian part, Z
         a = pauli("z") + 4.5e-11j * pauli("x")
-        proc = run_cli(command, instance_file(tmp_path, TensorSumInstance([a], [a])))
+        raw = [matrix_to_json(a)]
+        path = instance_file(tmp_path, TensorSumInstance([a], [a]), x=raw, y=raw)
+        assert json.loads(Path(path).read_text())["x"] == raw
+        proc = run_cli(command, path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
