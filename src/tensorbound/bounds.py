@@ -59,7 +59,10 @@ def as_weights(weights, m: int | None = None) -> np.ndarray:
     """``m`` weights (any nonempty number when None) as finite floats with 4 m
     (sum |c_i|)^2 finite, which bounds every value computed from them."""
     try:
-        w = np.asarray(weights, dtype=float)
+        w = np.asarray(weights)
+        if w.dtype.kind == "c":  # the cast to float would drop the imaginary parts
+            raise TypeError
+        w = w.astype(float, copy=False)
     except (OverflowError, TypeError, ValueError):  # a huge integer, a complex, a string, ragged
         raise ValueError("weights must be finite reals") from None
     if m is not None and w.shape != (m,):
@@ -74,6 +77,30 @@ def as_weights(weights, m: int | None = None) -> np.ndarray:
     return w
 
 
+def _side_stack(side: str, ops: list, m: int) -> tuple[np.ndarray, int]:
+    """One side's operators as a checked (k, d, d) stack and the index k of
+    its first operator whose dimension differs from the first's (m when
+    none does), for TensorSumInstance to validate before it refuses k.
+
+    One as_operator call converts and scans the whole side. Only when that
+    fails does each operator go through as_operator on its own, converted
+    in place in ``ops``, to name the first one that is malformed,
+    non-finite or not square, or else to find k.
+    """
+    try:
+        return as_operator(ops, stack=True), m
+    except ValueError:
+        pass
+    for k, a in enumerate(ops):
+        try:
+            ops[k] = as_operator(a)
+        except ValueError as err:
+            raise ValueError(f"{side} operator {k + 1} of {m}: {err}") from None
+    dim = ops[0].shape[0]
+    equal = next((k for k, op in enumerate(ops) if op.shape[0] != dim), m)
+    return np.stack(ops[:equal]), equal
+
+
 @dataclass(frozen=True, eq=False)
 class TensorSumInstance:
     """A weighted tensor-sum problem: x_i on H, y_i on K, real weights c_i.
@@ -81,11 +108,12 @@ class TensorSumInstance:
     Every operator must be a self-adjoint contraction. This is the one
     place operators are checked, and a failure raises ValueError: first
     the count of x and y, then the weights (all ones by default, otherwise
-    checked by as_weights), then x and y in turn. On each side
-    linalg.as_operator checks every operator, then families.validate the
-    side's stack up to its first dimension mismatch, so a refusal names
-    the first failing operator of the first failing side. ``x`` and ``y``
-    are stored as read-only complex stacks of shape (m, dim_h, dim_h) and
+    checked by as_weights), then x and y in turn. Each side is checked in
+    one pass: _side_stack converts and scans it into a stack, its adjoint
+    is taken once, and families.validate checks the stack against it up
+    to the side's first dimension mismatch, so a refusal names the first
+    failing operator of the first failing side. ``x`` and ``y`` are
+    stored as read-only complex stacks of shape (m, dim_h, dim_h) and
     (m, dim_k, dim_k), each its own adjoint: an entry that is not the
     conjugate of its mirror becomes that of the Hermitian part (a + a*)/2,
     of norm at most ||a||, so an exactly Hermitian side keeps its bits.
@@ -102,25 +130,17 @@ class TensorSumInstance:
         m = len(x)
         w = np.ones(m) if weights is None else as_weights(weights, m)
         for side, ops in (("x", x), ("y", y)):
-            for k, a in enumerate(ops):
-                try:
-                    ops[k] = as_operator(a)
-                except ValueError as err:
-                    raise ValueError(f"{side} operator {k + 1} of {m}: {err}") from None
-            dim = ops[0].shape[0]
-            # validate up to the first dimension mismatch: a defect before it is reported first
-            equal = next((k for k, op in enumerate(ops) if op.shape[0] != dim), m)
-            stack = np.stack(ops[:equal])
-            if failure := validate(stack):
+            stack, equal = _side_stack(side, ops, m)
+            adjoint = np.swapaxes(stack.conj(), -1, -2)
+            if failure := validate(stack, adjoint):
                 k, reason = failure
                 raise ValueError(f"{side} operator {k + 1} of {m}: {reason}")
             if equal < m:
                 raise ValueError(
                     f"{side} operator {equal + 1} of {m}: dimension "
                     f"{ops[equal].shape[0]} differs from the first {side} operator's "
-                    f"dimension {dim}"
+                    f"dimension {stack.shape[1]}"
                 )
-            adjoint = np.swapaxes(stack.conj(), -1, -2)
             if not np.array_equal(stack, adjoint):  # the Hermitian part, mirrored bitwise
                 stack = np.where(stack == adjoint, stack, (stack + adjoint) / 2)
             stack.flags.writeable = False
@@ -197,8 +217,9 @@ def phi_table(inst: TensorSumInstance) -> PhiTable:
     per side by batched products and batched norms (see _pair_norms)."""
     m = inst.m
     upper = _upper(m)
-    comm_x, anti_x = _pair_norms(inst.x, *np.nonzero(upper))
-    comm_y, anti_y = _pair_norms(inst.y, *np.nonzero(upper))
+    pairs = np.nonzero(upper)
+    comm_x, anti_x = _pair_norms(inst.x, *pairs)
+    comm_y, anti_y = _pair_norms(inst.y, *pairs)
     table = np.zeros((m, m))
     table[upper] = 0.5 * (comm_x * comm_y + anti_x * anti_y)
     return PhiTable(table + table.T)

@@ -50,21 +50,34 @@ def _norms_from_gram(gram: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def _first_failure(a: np.ndarray) -> tuple[int, str] | None:
-    """validate on one batch: the first failing matrix and why, or None.
+def _first_failure(a: np.ndarray, adjoint: np.ndarray) -> tuple[int, str] | None:
+    """validate on one batch and its adjoint: the first failing matrix and
+    why, or None.
 
-    ||a||_F^2 bounds every entry of a* a (Cauchy-Schwarz), so a* a is
-    finite wherever ||a||_F is. Where it or the defect overflows, the
-    entries are too large and a* a is zeroed before eigvalsh.
+    A batch equal to its adjoint has no defect, and each of its norms is
+    the largest |eigenvalue| from one eigvalsh of the batch itself; only
+    when one exceeds 1 is ||a||_F taken, to word the failure (entries too
+    large fail there too: the norm is at least ||a||_F / sqrt(d)). Any other
+    batch goes through a* a: ||a||_F^2 bounds every entry of a* a
+    (Cauchy-Schwarz), so a* a is finite wherever ||a||_F is. Where it or
+    the defect overflows, the entries are too large and a* a is zeroed
+    before eigvalsh.
     """
-    adjoint = np.swapaxes(a.conj(), -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is marked large below
-        size = frobenius_norms(a)
-        defect = frobenius_norms(a - adjoint)
-        gram = adjoint @ a
+    if np.array_equal(a, adjoint):
+        norm = np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+        if norm.max() <= 1.0 + CONTRACTION_TOL:
+            return None
+        defect = np.zeros(len(a))
+        with np.errstate(over="ignore"):  # an overflow is marked large below
+            size = frobenius_norms(a)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is marked large below
+            size = frobenius_norms(a)
+            defect = frobenius_norms(a - adjoint)
+            gram = adjoint @ a
+        gram[np.maximum(size, defect) == np.inf] = 0.0
+        norm = _norms_from_gram(gram)
     large = np.maximum(size, defect) == np.inf
-    gram[large] = 0.0
-    norm = _norms_from_gram(gram)
     hermitian = defect <= HERM_TOL_FACTOR * np.maximum(1.0, size)
     failed = np.flatnonzero(large | ~(hermitian & (norm <= 1.0 + CONTRACTION_TOL)))
     if not failed.size:
@@ -77,26 +90,29 @@ def _first_failure(a: np.ndarray) -> tuple[int, str] | None:
     return k, f"not a contraction, norm {norm[k]:.12g} > 1"
 
 
-def validate(a: np.ndarray) -> tuple[int, str] | None:
+def validate(a: np.ndarray, adjoint: np.ndarray) -> tuple[int, str] | None:
     """The first matrix of a (k, d, d) stack, k >= 1, that is not a
     self-adjoint contraction by the rule above HERM_TOL_FACTOR, as
     (index, reason), or None when all are. Within one matrix, entries too
     large (||a||_F^2 or ||a - a*||_F^2 overflows) come before hermiticity,
-    and hermiticity before contraction.
+    and hermiticity before contraction. ``adjoint`` is the stack's adjoint,
+    which TensorSumInstance takes once per side and also stores the side's
+    Hermitian part from.
 
     The stack goes through max(1, BATCH_ENTRIES // d^2) matrices at a
-    time, up to the first batch that holds a failure: a Frobenius
-    reduction gives the hermiticity defects, and one eigvalsh of a* a its
-    largest eigenvalue mu_max, hence the norm sqrt(mu_max) (_norms_from_gram,
-    the arithmetic random_operator scales by). The Gram route measures the
-    norm of a matrix that may fail the self-adjointness check.
+    time, up to the first batch that holds a failure. Each norm is that
+    of the matrix as passed: the largest |eigenvalue| in a batch that
+    equals its adjoint, else sqrt(mu_max) of a* a (_norms_from_gram, the
+    arithmetic random_operator scales by), which measures the norm of a
+    matrix that may fail the self-adjointness check.
 
     The stack is taken unchecked: TensorSumInstance passes operators that
     linalg.as_operator has checked to be finite and square.
     """
     step = max(1, BATCH_ENTRIES // a.shape[1] ** 2)
     for start in range(0, len(a), step):
-        if failure := _first_failure(a[start : start + step]):
+        end = start + step
+        if failure := _first_failure(a[start:end], adjoint[start:end]):
             return start + failure[0], failure[1]
     return None
 

@@ -6,15 +6,16 @@ and there is no module-level mutable state, so values can be shared
 freely between workers.
 
 ``as_operator`` is the one check of an outside matrix, and
-``bounds.TensorSumInstance`` is its one caller; every other function here
-takes matrices that came through it, or were built from such matrices,
-and checks nothing. The exact path (strips of at most max(BATCH_ENTRIES,
-dim_k * n) entries, each one ``kron`` of weighted stacks, then
-``hermitian_eig``, real when B is) is desk-scale: ``bounds.exact_reference``
-caps the product dimension first. The bound computations never form the
-tensor product and are dimension-free. ``kron`` and ``spectral_norm`` take
-stacks only, and ``lanczos_extremes`` finds the two extreme eigenvalues of
-a Hermitian operator known only through its action on vectors. Both
+``bounds.TensorSumInstance`` is its one caller, once per side on the
+whole stack; every other function here takes matrices that came through
+it, or were built from such matrices, and checks nothing. The exact path
+(strips of at most max(BATCH_ENTRIES, dim_k * n) entries, each one
+``kron`` of weighted stacks, then ``hermitian_eig``, real when B is) is
+desk-scale: ``bounds.exact_reference`` caps the product dimension first.
+The bound computations never form the tensor product and are
+dimension-free. ``kron`` and ``spectral_norm`` take stacks only, and
+``lanczos_extremes`` finds the two extreme eigenvalues of a Hermitian
+operator known only through its action on vectors. Both
 ``hermitian_eig`` and ``lanczos_extremes`` return an ``ExtremeSpectrum``,
 the one spectrum type.
 """
@@ -46,18 +47,20 @@ LANCZOS_MAX_STEPS = 300
 _LANCZOS_CHECK_EVERY = 10
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries;
-    every refusal is a ValueError."""
+def as_operator(a, *, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex matrix, or with ``stack`` to a (k, d, d)
+    stack of them in one conversion and one finiteness scan, rejecting
+    non-finite entries; every refusal is a ValueError."""
     try:
         m = np.asarray(a, dtype=complex)
     except OverflowError:  # an integer beyond the float range
         raise ValueError("operator entries must be finite (no NaN/Inf)") from None
     except (TypeError, ValueError):  # an entry that is not a number, or ragged rows
         raise ValueError("operator must be a rectangular array of numbers") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
+        shape = "a (k, d, d) stack" if stack else "a square matrix"
+        raise ValueError(f"operator must be {shape}, got shape {m.shape}")
+    if m.shape[-1] < 1:
         raise ValueError("operator dimension must be at least 1")
     if not np.isfinite(m).all():
         raise ValueError("operator entries must be finite (no NaN/Inf)")

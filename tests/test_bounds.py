@@ -335,6 +335,23 @@ class TestValidationMessages:
             "weights must be finite reals",
         ),
         (lambda: build_certificate_report(2.0, weights=[1j, 1]), "weights must be finite reals"),
+        # a complex array is refused before numpy could cast it to its real part
+        (
+            lambda: TensorSumInstance([SZ, SZ], [SZ, SZ], np.array([1j, 1])),
+            "weights must be finite reals",
+        ),
+        (
+            lambda: TensorSumInstance([SZ, SZ], [SZ, SZ], np.array([1 + 0j, 1])),
+            "weights must be finite reals",
+        ),
+        (
+            lambda: build_certificate_report(2.0, weights=np.array([1j, 1])),
+            "weights must be finite reals",
+        ),
+        (
+            lambda: build_certificate_report(2.0, weights=np.array([1 + 0j, 1])),
+            "weights must be finite reals",
+        ),
         (
             lambda: TensorSumInstance([SZ], [NAN]),
             "y operator 1 of 1: operator entries must be finite (no NaN/Inf)",
@@ -371,7 +388,9 @@ class TestValidationMessages:
     ids=[
         "empty-weights", "empty-operator", "no-vertex", "one-vertex", "small-demo", "no-demo",
         "count-first", "weights-before-operators", "complex-weight", "string-weight",
-        "ragged-weights", "complex-certificate-weight", "nan-in-y", "non-square-x",
+        "ragged-weights", "complex-certificate-weight", "complex-weight-array",
+        "real-complex-weight-array", "complex-certificate-weight-array",
+        "real-complex-certificate-weight-array", "nan-in-y", "non-square-x",
         "zero-dimension", "ragged", "non-numeric", "integer-overflow", "x-defect-before-y-nan",
         "nan-before-an-earlier-defect",
     ],
@@ -405,9 +424,27 @@ class TestValidationPassCount:
         TensorSumInstance(x, y)
         assert calls == {"validate": 2, "eigvalsh": 2}
 
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    def test_one_as_operator_call_per_side(self, m, monkeypatch):
+        # the whole side is converted and scanned at once; perfbench counts these calls
+        rng = np.random.default_rng(m)
+        x = random_operator("contraction", 3, [int(s) for s in rng.integers(0, 2**32, m)])
+        y = random_operator("contraction", 2, [int(s) for s in rng.integers(0, 2**32, m)])
+        y = [op.tolist() for op in y]
+        calls = []
+
+        def counted(a, **kwargs):
+            calls.append(kwargs)
+            return linalg.as_operator(a, **kwargs)
+
+        monkeypatch.setattr(bounds, "as_operator", counted)
+        TensorSumInstance(list(x), y)
+        assert calls == [{"stack": True}, {"stack": True}]
+
     def test_entries_are_scanned_for_nan_and_inf_once(self, monkeypatch):
-        # linalg.as_operator is the one finiteness scan: one per operator,
-        # none in validate, and none in phi_table, which takes checked stacks
+        # linalg.as_operator is the one finiteness scan: one per side, not
+        # one per operator, none in validate, and none in phi_table, which
+        # takes checked stacks
         calls = Counter()
         isfinite = np.isfinite
 
@@ -417,10 +454,114 @@ class TestValidationPassCount:
 
         monkeypatch.setattr(np, "isfinite", counted)
         inst = TensorSumInstance([SX, SY, SZ], [SZ, SX, SY])
-        assert calls["isfinite"] == 2 * inst.m
+        assert calls["isfinite"] == 2
         calls.clear()
         phi_table(inst)
         assert calls["isfinite"] == 0
+
+
+SIDE_KINDS = (
+    "hermitian", "real", "nested-list", "near-hermitian", "involution", "non-hermitian",
+    "non-contraction", "too-large", "nan", "non-square", "mismatched-dimension",
+)
+
+
+def draw_side_operator(rng, kind, dim):
+    """One operator of a side of dimension ``dim``, of the given kind."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (g + g.conj().T) / 2
+    h *= rng.uniform(0.0, 1.0) / max(svd_norm(h), 1e-300)
+    if kind == "real":
+        return h.real.copy()
+    if kind == "nested-list":
+        return h.tolist()
+    if kind == "near-hermitian":
+        return h + 1e-12 * g
+    if kind == "involution":
+        q, _ = np.linalg.qr(g)
+        return (q * rng.choice([-1.0, 1.0], dim)) @ q.conj().T
+    if kind == "non-hermitian":
+        return g
+    if kind == "non-contraction":
+        return (g + g.conj().T) * rng.uniform(1.01, 3.0) / svd_norm(g + g.conj().T)
+    if kind == "too-large":
+        return np.full((dim, dim), 1e200, dtype=complex)
+    if kind == "nan":
+        h[rng.integers(dim), rng.integers(dim)] = np.nan
+    elif kind == "non-square":
+        return np.ones((dim, dim + 1))
+    elif kind == "mismatched-dimension":
+        return 0.5 * np.eye(dim + 1)
+    return h
+
+
+@st.composite
+def operator_sides(draw):
+    """Equally long x and y sides of up to 5 operators each, of mixed kinds."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(seeds))
+    sides = []
+    for _ in range(2):
+        dim = draw(st.integers(min_value=1, max_value=4))
+        # mostly well-formed operators, so a failure can come late in a side
+        kinds = draw(
+            st.lists(
+                st.sampled_from(SIDE_KINDS[:3] * 6 + SIDE_KINDS), min_size=m, max_size=m
+            )
+        )
+        sides.append([draw_side_operator(rng, kind, dim) for kind in kinds])
+    return sides
+
+
+def instance_outcome(x, y):
+    """The stored stacks' bytes, or the refusal's message."""
+    try:
+        inst = TensorSumInstance(x, y)
+    except ValueError as err:
+        return str(err)
+    return inst.x.dtype, inst.x.shape, inst.x.tobytes(), inst.y.shape, inst.y.tobytes()
+
+
+class TestOnePassSideCheck:
+    """A side is converted and scanned by one as_operator call; the per-operator
+    pass, which runs only when that call fails, is the reference for both
+    what is stored and how a refusal is worded."""
+
+    @given(operator_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_same_stacks_and_messages_as_the_per_operator_pass(self, sides):
+        x, y = sides
+
+        def one_operator_at_a_time(a, *, stack=False):
+            if stack:
+                raise ValueError("refused to force the per-operator pass")
+            return linalg.as_operator(a)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "as_operator", one_operator_at_a_time)
+            expected = instance_outcome(list(x), list(y))
+        assert instance_outcome(list(x), list(y)) == expected
+
+    def test_stored_stacks_are_fresh_and_read_only(self):
+        x = [np.array(SZ), np.array(SX)]
+        inst = TensorSumInstance(x, x)
+        assert not inst.x.flags.writeable and not inst.y.flags.writeable
+        assert x[0].flags.writeable and not np.shares_memory(inst.x, x[0])
+
+    @pytest.mark.parametrize(
+        "side, k, shape",
+        [
+            ([SZ, np.zeros((1, 2, 2))], 2, (1, 2, 2)),
+            ([SZ, np.zeros(2)], 2, (2,)),
+            ([[1, 0], [0, 1]], 1, (2,)),
+            ([SZ, 0.5], 2, ()),
+        ],
+    )
+    def test_an_operator_not_two_dimensional_is_named(self, side, k, shape):
+        # no side here converts to an (m, d, d) stack, and one operator alone names the fault
+        assert validation_message(side, [SZ] * len(side)) == (
+            f"x operator {k} of 2: operator must be a square matrix, got shape {shape}"
+        )
 
 
 class TestPhiTable:

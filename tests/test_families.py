@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 
 from oracles import eig2x2_hermitian, involution_defect, svd_norm
 from tensorbound import clifford_generators, families, pauli, random_operator
-from tensorbound.families import ENSEMBLE_KINDS, _norms_from_gram, validate
+from tensorbound.families import ENSEMBLE_KINDS, _norms_from_gram
 from tensorbound.linalg import BATCH_ENTRIES, spectral_norm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def validate(a):
+    """families.validate of a stack against its adjoint."""
+    return families.validate(a, np.swapaxes(a.conj(), -1, -2))
 
 
 class TestPauli:
@@ -70,11 +75,30 @@ class TestValidate:
         assert validate(np.stack([pauli("x"), big])) == (1, TOO_LARGE)
 
     def test_entries_too_large_leave_the_batch_mates_verdict(self):
-        # a* a of the overflowing matrix is zeroed before the one eigvalsh of the batch
+        # eigvalsh takes each matrix of a Hermitian batch on its own, and in any
+        # other batch a* a of the overflowing matrix is zeroed before it
         big = np.full((2, 2), 1e200, dtype=complex)
         for mate in (2 * pauli("x"), 0.5 * (pauli("z") + 2 * pauli("x")), NON_HERMITIAN):
             assert validate(np.stack([mate, big])) == validate(mate[None])
             assert validate(mate[None])[0] == 0
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_a_hermitian_batch_is_diagonalized_as_passed(self, hermitian, monkeypatch):
+        # a batch equal to its adjoint needs no a* a; any other one does
+        inputs = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            inputs.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        stack = np.stack([pauli("x"), 0.5 * pauli("z"), NON_HERMITIAN / 2][: 3 - hermitian])
+        defect = (2, "not self-adjoint, hermiticity defect 7.071e-01")
+        assert validate(stack) == (None if hermitian else defect)
+        gram = np.swapaxes(stack.conj(), -1, -2) @ stack
+        assert len(inputs) == 1
+        assert np.array_equal(inputs[0], stack if hermitian else gram)
 
 
 OPERATOR_KINDS = ("hermitian", "non_hermitian", "scaled_above_one", "involution")
@@ -101,6 +125,14 @@ def gram_norm(a):
     return _norms_from_gram(np.swapaxes(stack.conj(), -1, -2) @ stack)[0]
 
 
+def validate_norm(a):
+    """The norm validate reports for one matrix: the largest |eigenvalue| when
+    it equals its adjoint, else the Gram route's."""
+    if np.array_equal(a, a.conj().T):
+        return np.abs(np.linalg.eigvalsh(a)).max()
+    return gram_norm(a)
+
+
 @st.composite
 def operator_stacks(draw):
     """(kinds, stack): up to 6 operators of dimension 1..6, of mixed kinds."""
@@ -116,8 +148,9 @@ def single_verdict(kind, a):
     if kind == "non_hermitian":
         assert verdict[0] == 0 and verdict[1].startswith("not self-adjoint, hermiticity defect ")
     elif kind == "scaled_above_one":
-        # the same arithmetic as random_operator's norms, to the last bit
-        assert verdict == (0, f"not a contraction, norm {format(gram_norm(a), '.12g')} > 1")
+        # the same arithmetic as validate's norms, to the last bit
+        assert verdict == (0, f"not a contraction, norm {format(validate_norm(a), '.12g')} > 1")
+        assert validate_norm(a) == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
         assert gram_norm(a) == pytest.approx(svd_norm(a), rel=1e-10, abs=1e-12)
     else:
         assert verdict is None
@@ -159,9 +192,10 @@ class TestValidateStack:
         seen = []
         first_failure_of = families._first_failure
 
-        def recording(part):
+        def recording(part, adjoint):
+            assert np.array_equal(adjoint, np.swapaxes(part.conj(), -1, -2))
             seen.append(part)
-            return first_failure_of(part)
+            return first_failure_of(part, adjoint)
 
         monkeypatch.setattr(families, "_first_failure", recording)
         # matrix k is the contraction (k / count) I, so every batch is visited
